@@ -75,4 +75,4 @@ from .waveguide import (
     parse_preset,
     z_opt_physical,
 )
-from .wigner import WignerGrid, auto_window, laguerre_assoc, wigner, wigner_at
+from .wigner import WignerGrid, auto_window, wigner, wigner_at

@@ -242,7 +242,10 @@ def cmd_wigner(args, config: RunConfig) -> int:
         center = _parse_complex("center", args.center)
         half_width = float(args.half_width)
     resolution = int(args.resolution)
-    grid = wigner(state, center=center, half_width=half_width, resolution=resolution)
+    try:
+        grid = wigner(state, center=center, half_width=half_width, resolution=resolution)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     shift = shift_amplitude(scenario, DisplacementSetting(beta=beta))
     meta = {"command": "wigner", "version": __version__,
@@ -251,7 +254,8 @@ def cmd_wigner(args, config: RunConfig) -> int:
                        "center_re": center.real, "center_im": center.imag,
                        "half_width": half_width, "resolution": resolution},
             "shift_re": shift.real, "shift_im": shift.imag,
-            "integral": grid.integral(), "w_max": float(grid.values.max())}
+            "integral": grid.integral(), "w_max": float(grid.values.max()),
+            "n_trunc": state.n_trunc, "imag_residue": grid.imag_residue}
     human = [f"grid {resolution}x{resolution}, window half-width {half_width:.6g}",
              f"integral = {grid.integral():.6g}, max W = {grid.values.max():.6g}"]
     if args.out is not None and args.format == "json":

@@ -47,7 +47,7 @@ class NoRealRoot(KerrshiftError):
 
 
 class StateTooLarge(KerrshiftError):
-    """State exceeds the practical cap of the phase-space double sum."""
+    """Wigner grid of this state would need a temporary above wigner.MAX_WIGNER_BYTES."""
 
 
 class NumericalOverflow(KerrshiftError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import (
     AmplitudeTooLarge,
@@ -29,6 +29,9 @@ NORM_TOL = 1e-12
 # Largest norm defect of a truncated displacement that displace() accepts;
 # above it the displaced state does not fit the basis and an error is raised.
 DISPLACE_DEFECT_TOL = 1e-10
+# Byte limit on the dense displacement matrix, 16 (n_max + 1)^2: 16384 levels,
+# enough for |alpha| ~ 120. MAX_AMPLITUDE states need ~42k levels, 28 GB dense.
+MAX_DISPLACE_BYTES = 2 ** 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +88,8 @@ def coherent_state(alpha: complex, tol: float = 1e-12,
 
     Amplitudes are computed in log domain (log-gamma) so that large |alpha|
     does not underflow term by term. The truncation starts at
-    ceil(|a|^2 + 10|a| + 20) and is extended until the raw Poisson tail is
+    ceil(|a|^2 + 10|a| + 20) and is extended until the Poisson tail
+    P(n > n_trunc), the regularized incomplete gamma P(n_trunc + 1, |a|^2), is
     below tol.
     """
     if not (0.0 < tol <= 1e-6):
@@ -102,8 +106,8 @@ def coherent_state(alpha: complex, tol: float = 1e-12,
             amps[0] = 1.0
             return FockState(amps, n_trunc, 0.0)
         log_mag = -0.5 * a * a + n * np.log(a) - 0.5 * gammaln(n + 1.0)
-        probs = np.exp(2.0 * log_mag)
-        tail = max(1.0 - float(probs.sum()), 0.0)
+        # exact Poisson tail P(n > n_trunc); 1 - sum(probs) is lost to rounding
+        tail = float(gammainc(n_trunc + 1.0, a * a))
         if tail < tol:
             amps = np.exp(log_mag + 1j * n * np.angle(alpha))
             return _normalized(amps, tail)
@@ -198,6 +202,11 @@ def displace(state: FockState, delta: complex) -> FockState:
     if n_max + 1 > MAX_FOCK_DIM:
         raise TruncationUnachievable(
             f"displacement needs {n_max + 1} levels, cap is {MAX_FOCK_DIM}")
+    matrix_bytes = 16 * (n_max + 1) ** 2
+    if matrix_bytes > MAX_DISPLACE_BYTES:
+        raise TruncationUnachievable(
+            f"displacement at n_max = {n_max} needs a {matrix_bytes} B matrix, above "
+            f"the limit MAX_DISPLACE_BYTES = {MAX_DISPLACE_BYTES} B")
     padded = np.zeros(n_max + 1, dtype=complex)
     padded[: state.n_trunc + 1] = state.amplitudes
     out = displacement_matrix(delta, n_max) @ padded

@@ -1,20 +1,39 @@
-"""Wigner quasiprobability of truncated Fock states on a phase-space grid.
+"""Wigner quasiprobability of truncated Fock states, computed in position space.
 
-For a pure state with amplitudes c_n,
+Phase-space points are w = x + iy with a = (q + ip)/sqrt(2), so
 
-    W(w) = (2/pi) e^{-2|w|^2} [ sum_n (-1)^n |c_n|^2 L_n(4|w|^2)
-           + sum_{m>0, n} (-1)^n sqrt(n!/(n+m)!) c*_{n+m} c_n (2w)^m L_n^m(4|w|^2)
-           + c.c. ]
+    q = sqrt(2) Re w,   p = sqrt(2) Im w,
 
-Evaluating the Laguerre polynomials naively overflows long before the
-amplitudes of interest (L_n^m(4|a|^2) with |a| ~ 10 and n ~ 200), so the
-double sum is assembled from the bounded combination
+W integrates to 1 over dx dy, and a coherent state |alpha> has
+W(w) = (2/pi) e^{-2|w - alpha|^2}. For a pure state with wavefunction
+psi(q) = sum_n c_n phi_n(q), phi_n the Hermite functions,
 
-    T_n^m(x) = sqrt(n!/(n+m)!) x^{m/2} e^{-x/2} L_n^m(x),   x = 4|w|^2,
+    W(w) = (2/pi) int psi*(q + s) psi(q - s) e^{2ips} ds
+         ~ (2/pi) h sum_k psi*(q + s_k) psi(q - s_k) e^{2ip s_k},   s_k = k h.
 
-which is the magnitude of a displacement matrix element (<= 1) and satisfies
-a clean three-term recurrence in n. The (2w)^m prefactor then contributes
-only its phase e^{i m arg w}.
+A state with at most N photons lives in the phase-space disk of radius
+sqrt(2N + 1) up to Gaussian tails, so R = sqrt(2N + 1) + SUPPORT_MARGIN
+bounds its support in q and in p, and the sum runs over |s_k| <= R. By
+Poisson summation the trapezoid sum equals sum_j W(q, p + j pi/h); a step
+h < pi / (max|p| + R) pushes every image j != 0 outside the support, where W
+is negligible. Without that rule the sum aliases.
+
+Lattice rule: a grid with q_i = q_0 + i dq takes h = dq/m with the smallest
+whole m meeting the aliasing bound, so every q_i +- s_k is a point of one
+lattice q_0 + l h. psi is evaluated once on that lattice, and W on the grid is
+one (res x S) . (S x res) matrix product, done in row blocks. A scattered
+point is a 1 x 1 grid.
+
+psi comes from the upward Hermite-function recurrence
+
+    phi_0 = pi^{-1/4} e^{-q^2/2},   phi_1 = sqrt(2) q phi_0,
+    phi_{n+1} = sqrt(2/(n+1)) q phi_n - sqrt(n/(n+1)) phi_{n-1},
+
+adding c_n phi_n into psi as it runs. phi_0 underflows for |q| >~ 38, so
+each lattice point carries a log scale: the recurrence starts from the
+mantissa pi^{-1/4} at scale -q^2/2, and whenever a mantissa passes _RESCALE
+the mantissas and the running sum of that point are divided by _RESCALE and
+its scale raised by log _RESCALE.
 """
 
 from __future__ import annotations
@@ -22,49 +41,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalOverflow, StateTooLarge
 from .fock import FockState, field_moment, photon_distribution
 
-MAX_WIGNER_TRUNC = 400
 PURE_STATE_BOUND = 2.0 / np.pi
-
-# per-diagonal coefficient products below this cannot move W at the 1e-13 level
-DROP_TOL = 1e-18
-
-
-def laguerre_assoc(n: int, m: int, x):
-    """Associated Laguerre L_n^m(x) as (mantissa, exponent), value = mantissa * e^exponent.
-
-    Upward three-term recurrence in n with periodic rescaling, so arguments up
-    to x ~ 4 |a|^2_max stay representable. m = 0 gives the ordinary L_n. x may
-    be a scalar or an ndarray.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be non-negative")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be non-negative")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    mant = np.ones_like(x_arr)
-    expo = np.zeros_like(x_arr)
-    if n >= 1:
-        prev = np.ones_like(x_arr)             # L_0^m = 1
-        cur = m + 1.0 - x_arr                  # L_1^m
-        for j in range(1, n):
-            nxt = ((2.0 * j + m + 1.0 - x_arr) * cur - (j + m) * prev) / (j + 1.0)
-            prev, cur = cur, nxt
-            big = np.abs(cur) > 1e250
-            if np.any(big):
-                prev = np.where(big, prev * 1e-250, prev)
-                cur = np.where(big, cur * 1e-250, cur)
-                expo = np.where(big, expo + 250.0 * np.log(10.0), expo)
-        mant = cur
-    if scalar:
-        return float(mant[0]), float(expo[0])
-    return mant, expo
+# Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
+SUPPORT_MARGIN = 10.0
+# Byte limit on the (S x resolution) complex phase matrix e^{2i p_j s_k}, the
+# largest temporary once it passes BLOCK_BYTES. A 401^2 map of the alpha = 30
+# optimum (N = 1343) needs 29 MB of it.
+MAX_WIGNER_BYTES = 2 ** 28
+# Rows of the psi*(q+s) psi(q-s) kernel are built in blocks of at most this many bytes.
+BLOCK_BYTES = 2 ** 24
+_RESCALE = 1e150
 
 
 @dataclass(frozen=True)
@@ -73,6 +63,7 @@ class WignerGrid:
     y_range: tuple[float, float]
     resolution: int
     values: np.ndarray
+    imag_residue: float
 
     @property
     def xs(self) -> np.ndarray:
@@ -88,59 +79,74 @@ class WignerGrid:
         return float(self.values.sum() * dx * dy)
 
 
-def wigner_at(state: FockState, points: np.ndarray) -> np.ndarray:
-    """W evaluated at arbitrary complex phase-space points (vectorized kernel)."""
-    if state.n_trunc > MAX_WIGNER_TRUNC:
+def _wavefunction(amplitudes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """psi(q) = sum_n c_n phi_n(q) by the rescaled Hermite-function recurrence."""
+    scale = -0.5 * q * q
+    prev = np.zeros_like(q)
+    cur = np.full_like(q, np.pi ** -0.25)
+    psi = amplitudes[0] * cur
+    for n in range(len(amplitudes) - 1):
+        prev, cur = cur, np.sqrt(2.0 / (n + 1.0)) * q * cur - np.sqrt(n / (n + 1.0)) * prev
+        psi += amplitudes[n + 1] * cur
+        big = np.abs(cur) > _RESCALE
+        if big.any():
+            shrink = np.where(big, 1.0 / _RESCALE, 1.0)
+            prev *= shrink
+            cur *= shrink
+            psi *= shrink
+            scale[big] += np.log(_RESCALE)
+    return psi * np.exp(scale)
+
+
+def _wigner_grid(state: FockState, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
+    """W on the grid xs x ys (each uniform, values[i, j] at xs[i] + i ys[j]),
+    and the largest |Im W| before the real part is taken."""
+    radius = np.sqrt(2.0 * state.n_trunc + 1.0) + SUPPORT_MARGIN
+    q = np.sqrt(2.0) * xs
+    p = np.sqrt(2.0) * ys
+    h_max = np.pi / (np.max(np.abs(p)) + radius)
+    dq = (q[-1] - q[0]) / (len(q) - 1) if len(q) > 1 else h_max
+    m = int(dq / h_max) + 1
+    h = dq / m
+    k_max = int(np.ceil(radius / h))
+    ks = np.arange(-k_max, k_max + 1)
+    phase_bytes = 16 * len(ks) * len(p)
+    if phase_bytes > MAX_WIGNER_BYTES:
         raise StateTooLarge(
-            f"n_trunc = {state.n_trunc} above the double-sum cap {MAX_WIGNER_TRUNC}")
-    w = np.asarray(points, dtype=complex)
-    c = state.amplitudes
-    n_top = state.n_trunc
-    x = 4.0 * np.abs(w) ** 2
-    unit = np.ones_like(w)
-    nonzero = w != 0
-    unit[nonzero] = w[nonzero] / np.abs(w[nonzero])
-    signs = np.where(np.arange(n_top + 1) % 2 == 0, 1.0, -1.0)
+            f"n_trunc = {state.n_trunc} at resolution {len(xs)}x{len(ys)} needs a "
+            f"{phase_bytes} B phase matrix, above the limit MAX_WIGNER_BYTES = "
+            f"{MAX_WIGNER_BYTES} B")
 
-    total = np.zeros_like(w, dtype=complex)
-    phase_m = np.ones_like(w, dtype=complex)
-    for m in range(0, n_top + 1):
-        coef = np.conj(c[m:]) * c[: n_top + 1 - m] * signs[: n_top + 1 - m]
-        if m > 0:
-            phase_m = phase_m * unit
-        mags = np.abs(coef)
-        if mags.max() < DROP_TOL:
-            continue
-        keep = int(np.nonzero(mags >= DROP_TOL)[0][-1])
-        # T_0^m in log domain; the recurrence itself stays in [-1, 1] territory
-        with np.errstate(divide="ignore"):
-            log_x = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
-        if m == 0:
-            t_prev = np.exp(-x / 2.0)
-        else:
-            t_prev = np.exp(0.5 * m * log_x - x / 2.0 - 0.5 * gammaln(m + 1.0))
-        inner = coef[0] * t_prev
-        if keep >= 1:
-            t_cur = t_prev * (m + 1.0 - x) / np.sqrt(m + 1.0)
-            inner = inner + coef[1] * t_cur
-            for n in range(1, keep):
-                t_next = ((2.0 * n + m + 1.0 - x) / np.sqrt((n + 1.0) * (n + m + 1.0))) * t_cur \
-                    - np.sqrt(n * (n + m) / ((n + 1.0) * (n + m + 1.0))) * t_prev
-                t_prev, t_cur = t_cur, t_next
-                inner = inner + coef[n + 1] * t_cur
-        if m == 0:
-            total = total + inner
-        else:
-            term = phase_m * inner
-            total = total + term + np.conj(term)
+    lattice = q[0] + h * np.arange(-k_max, (len(q) - 1) * m + k_max + 1)
+    inside = np.abs(lattice) <= radius
+    psi = np.zeros(len(lattice), dtype=complex)
+    psi[inside] = _wavefunction(state.amplitudes, lattice[inside])
 
-    total = total * (2.0 / np.pi)
+    phase = np.exp(2j * np.outer(h * ks, p))
+    centre = m * np.arange(len(q)) + k_max
+    rows = max(1, BLOCK_BYTES // (16 * len(ks)))
+    total = np.empty((len(q), len(p)), dtype=complex)
+    for start in range(0, len(q), rows):
+        at = centre[start:start + rows, None]
+        total[start:start + rows] = (np.conj(psi[at + ks]) * psi[at - ks]) @ phase
+    total *= 2.0 * h / np.pi
+
     if not np.all(np.isfinite(total)):
         raise NumericalOverflow("non-finite Wigner values; scaling exhausted")
-    residue = float(np.max(np.abs(total.imag))) if total.size else 0.0
+    residue = float(np.max(np.abs(total.imag)))
     if residue > 1e-10:
         raise NumericalOverflow(f"imaginary residue {residue} above 1e-10")
-    return total.real
+    return total.real, residue
+
+
+def wigner_at(state: FockState, points: np.ndarray) -> np.ndarray:
+    """W at arbitrary complex phase-space points, each evaluated as a 1 x 1 grid."""
+    w = np.asarray(points, dtype=complex)
+    values = np.empty(w.shape)
+    for index, point in np.ndenumerate(w):
+        grid, _ = _wigner_grid(state, np.array([point.real]), np.array([point.imag]))
+        values[index] = grid[0, 0]
+    return values
 
 
 def wigner(state: FockState, center: complex | None = None,
@@ -152,15 +158,16 @@ def wigner(state: FockState, center: complex | None = None,
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not half_width > 0.0:
+        raise ValueError(f"half_width must be positive, got {half_width}")
     if center is None:
         center = complex(field_moment(state, 0, 1))
     xs = center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    values = wigner_at(state, grid_x + 1j * grid_y)
+    values, residue = _wigner_grid(state, xs, ys)
     return WignerGrid(x_range=(float(xs[0]), float(xs[-1])),
                       y_range=(float(ys[0]), float(ys[-1])),
-                      resolution=resolution, values=values)
+                      resolution=resolution, values=values, imag_residue=residue)
 
 
 def auto_window(state: FockState, margin: float = 3.0,

@@ -112,6 +112,14 @@ def test_wigner_artifact_and_normalization(tmp_path):
     assert payload["meta"]["w_max"] <= 2 / np.pi + 1e-9
     values = payload["data"]["values"]
     assert len(values) == 161 and len(values[0]) == 161
+    assert payload["meta"]["n_trunc"] == 44
+    assert 0.0 <= payload["meta"]["imag_residue"] < 1e-12
+
+
+def test_wigner_rejects_an_empty_window(tmp_path, capsys):
+    code, _ = run(["wigner", "2", "0.05", "--half-width", "0"], tmp_path, "wig0.json")
+    assert code == 2
+    assert "half_width" in capsys.readouterr().err
 
 
 def test_wigner_csv_rows(tmp_path):
@@ -139,6 +147,13 @@ def test_photon_dist(tmp_path):
     assert cols == ["n", "probability", "poisson_same_mean"]
     assert rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
     assert abs(rows[:, 2].sum() - 1.0) < 1e-6
+
+
+def test_photon_dist_at_alpha_80(tmp_path):
+    code, out = run(["photon-dist", "80", "0.001", "0"], tmp_path, "pd80.json")
+    assert code == 0
+    rows = np.array(read_json(out)["data"]["rows"], dtype=float)
+    assert rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_design_full(tmp_path):

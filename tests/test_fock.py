@@ -54,6 +54,23 @@ def test_coherent_alpha10_mass_against_poisson_tail():
     assert state.n_trunc >= 220
 
 
+@pytest.mark.parametrize("alpha", [72.0, 80.0, 150.0, 200.0])
+def test_coherent_state_reaches_the_amplitude_cap(alpha):
+    # 1 - sum(p_n) is lost to rounding here; the exact Poisson tail is ~5e-24
+    # at the starting truncation ceil(a^2 + 10a + 20)
+    state = coherent_state(alpha)
+    assert state.n_trunc == int(np.ceil(alpha * alpha + 10.0 * alpha + 20.0))
+    assert state.tail_mass == pytest.approx(poisson.sf(state.n_trunc, alpha * alpha), rel=1e-6)
+    assert state.tail_mass < 1e-12
+
+
+def test_displace_refuses_a_matrix_above_the_byte_limit():
+    # |alpha| = 150 constructs (24020 levels), but its dense displacement
+    # matrix would need ~9.2 GB, so displace raises before allocating it
+    with pytest.raises(TruncationUnachievable, match="MAX_DISPLACE_BYTES"):
+        displace(coherent_state(150.0), 0.01)
+
+
 def test_coherent_validation():
     with pytest.raises(ValueError):
         coherent_state(2.0, tol=1e-3)

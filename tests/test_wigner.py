@@ -1,10 +1,14 @@
-"""Wigner maps: Laguerre evaluation, normalization, bound, symmetries."""
+"""Wigner maps: closed forms, parity formula, normalization, bound, symmetries."""
 
 import numpy as np
 import pytest
-from scipy.special import comb, factorial
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
+from conftest import length_optimum
 from kerrshift import (
+    DisplacementSetting,
     FockState,
     KerrScenario,
     StateTooLarge,
@@ -13,63 +17,14 @@ from kerrshift import (
     displace,
     field_moment,
     kerr_evolve,
-    laguerre_assoc,
+    photon_distribution,
+    shift_amplitude,
     wigner,
     wigner_at,
 )
+from kerrshift.wigner import MAX_WIGNER_BYTES
 
 TWO_OVER_PI = 2.0 / np.pi
-
-
-def laguerre_series(n, m, x):
-    # finite-series oracle, fine at small n
-    return sum((-1) ** k * comb(n + m, n - k) * x ** k / factorial(k)
-               for k in range(n + 1))
-
-
-def test_laguerre_low_orders():
-    for m in (0, 1, 5):
-        mant, expo = laguerre_assoc(0, m, 2.3)
-        assert mant * np.exp(expo) == 1.0
-    mant, expo = laguerre_assoc(1, 0, 0.7)
-    assert mant * np.exp(expo) == pytest.approx(1.0 - 0.7, rel=1e-15)
-
-
-def test_laguerre_against_series():
-    mant, expo = laguerre_assoc(5, 2, 3.7)
-    assert mant * np.exp(expo) == pytest.approx(laguerre_series(5, 2, 3.7), rel=1e-10)
-    mant, expo = laguerre_assoc(8, 0, 1.9)
-    assert mant * np.exp(expo) == pytest.approx(laguerre_series(8, 0, 1.9), rel=1e-10)
-
-
-def test_laguerre_survives_large_arguments():
-    # values up to ~e^600: reconstruct the log magnitude against mpmath
-    import mpmath
-
-    for n, m, x in ((160, 40, 400.0), (200, 0, 1400.0), (250, 0, 2000.0)):
-        mant, expo = laguerre_assoc(n, m, x)
-        assert np.isfinite(mant) and abs(mant) > 0
-        oracle = mpmath.laguerre(n, m, mpmath.mpf(x))
-        log_oracle = float(mpmath.log(abs(oracle)))
-        assert np.log(abs(mant)) + expo == pytest.approx(log_oracle, rel=1e-11)
-        assert np.sign(mant) == float(mpmath.sign(oracle))
-    # the last case is genuinely past double range and must have rescaled
-    _, expo = laguerre_assoc(250, 0, 2000.0)
-    assert expo > 0.0
-
-
-def test_laguerre_vectorized():
-    x = np.array([0.0, 1.0, 10.0])
-    mant, expo = laguerre_assoc(3, 1, x)
-    expected = np.array([laguerre_series(3, 1, xx) for xx in x])
-    assert np.allclose(mant * np.exp(expo), expected, rtol=1e-12)
-
-
-def test_laguerre_validation():
-    with pytest.raises(ValueError):
-        laguerre_assoc(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        laguerre_assoc(2, 0, -1.0)
 
 
 def test_vacuum_wigner_profile():
@@ -134,8 +89,102 @@ def test_rotation_invariance_of_kerr_state():
 
 
 def test_wigner_rejects_large_states():
-    with pytest.raises(StateTooLarge):
-        wigner_at(coherent_state(17.0), np.array([0j]))
+    # the check runs before any allocation: 3001 columns of a 2020-level state
+    # need a phase matrix well above MAX_WIGNER_BYTES
+    with pytest.raises(StateTooLarge) as info:
+        wigner(coherent_state(40.0), center=0j, half_width=50.0, resolution=3001)
+    message = str(info.value)
+    assert "n_trunc = 2020" in message
+    assert "3001x3001" in message
+    assert str(MAX_WIGNER_BYTES) in message
+
+
+def parity_wigner(state, w):
+    """(2/pi) sum_n (-1)^n |<n|D(-w) psi>|^2 with D from expm on a basis padded
+    by the coherent-state rule at radius |w| + sqrt(n_trunc)."""
+    r = abs(w) + np.sqrt(state.n_trunc)
+    levels = state.n_trunc + 1 + int(np.ceil(r * r + 10.0 * r + 20.0))
+    ket = np.zeros(levels, dtype=complex)
+    ket[: state.n_trunc + 1] = state.amplitudes
+    a = np.diag(np.sqrt(np.arange(1, levels, dtype=float)), 1)
+    shifted = expm(-w * a.conj().T + np.conj(w) * a) @ ket
+    signs = np.where(np.arange(levels) % 2 == 0, 1.0, -1.0)
+    return TWO_OVER_PI * float(signs @ np.abs(shifted) ** 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 30])
+def test_fock_state_wigner_closed_form(n):
+    amplitudes = np.zeros(max(n, 1) + 1, dtype=complex)
+    amplitudes[n] = 1.0
+    state = FockState(amplitudes, max(n, 1), 0.0)
+    rng = np.random.default_rng(n)
+    points = np.concatenate([[0j, 0.3 + 0.1j],
+                             rng.normal(0, 2, 12) + 1j * rng.normal(0, 2, 12)])
+    x = 4.0 * np.abs(points) ** 2
+    expected = TWO_OVER_PI * (-1) ** n * np.exp(-x / 2.0) * eval_laguerre(n, x)
+    assert np.allclose(wigner_at(state, points), expected, rtol=0, atol=1e-13)
+
+
+def test_coherent_wigner_where_the_ground_state_underflows():
+    # |alpha| = 40 needs ~2000 levels; at |q| = sqrt(2)|Re w| > 38 the seed
+    # e^{-q^2/2} underflows unless it is carried in the log domain
+    alpha = 40.0 - 3.0j
+    state = coherent_state(alpha)
+    assert state.n_trunc > 2000
+    points = alpha + np.array([0j, 0.4, -0.3j, 0.5 + 0.5j, -0.8 - 0.2j])
+    assert np.all(np.sqrt(2.0) * np.abs(points.real) > 38.0)
+    expected = TWO_OVER_PI * np.exp(-2.0 * np.abs(points - alpha) ** 2)
+    assert np.allclose(wigner_at(state, points), expected, rtol=0, atol=1e-12)
+
+
+def test_grid_equals_pointwise_values():
+    state = displace(kerr_evolve(coherent_state(3.0), 0.07), 0.4 - 0.9j)
+    grid = wigner(state, center=0.2 + 0.1j, half_width=4.0, resolution=31)
+    rng = np.random.default_rng(5)
+    i, j = rng.integers(0, 31, 10), rng.integers(0, 31, 10)
+    points = grid.xs[i] + 1j * grid.ys[j]
+    assert np.allclose(wigner_at(state, points), grid.values[i, j], rtol=0, atol=1e-13)
+    assert 0.0 <= grid.imag_residue < 1e-13
+
+
+def test_wide_window_does_not_alias():
+    # |p| reaches 20 here, past the support radius sqrt(2N + 1) + 10 ~ 18.6:
+    # the s-step must shrink with max|p| or images of the peak fold back in
+    alpha = 1.0 + 1.0j
+    grid = wigner(coherent_state(alpha), center=0j, half_width=14.0, resolution=57)
+    w = grid.xs[:, None] + 1j * grid.ys[None, :]
+    expected = TWO_OVER_PI * np.exp(-2.0 * np.abs(w - alpha) ** 2)
+    assert np.allclose(grid.values, expected, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+def test_random_kets_match_the_parity_formula(n_trunc, seed):
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=n_trunc + 1) + 1j * rng.normal(size=n_trunc + 1)
+    state = FockState(amplitudes / np.linalg.norm(amplitudes), n_trunc, 0.0)
+    points = rng.normal(0, 2.5, 3) + 1j * rng.normal(0, 2.5, 3)
+    expected = [parity_wigner(state, w) for w in points]
+    assert np.allclose(wigner_at(state, points), expected, rtol=0, atol=1e-12)
+
+
+def test_alpha_30_optimum_runs_at_401():
+    # N ~ 1343: a 401^2 map of the alpha = 30 optimum fits MAX_WIGNER_BYTES
+    opt = length_optimum(30.0)
+    scenario = KerrScenario(30.0, opt.kz)
+    state = displace(kerr_evolve(coherent_state(30.0), opt.kz),
+                     shift_amplitude(scenario, DisplacementSetting(beta=opt.beta_opt)))
+    assert state.n_trunc > 1300
+    center, half = auto_window(state)
+    grid = wigner(state, center=center, half_width=half, resolution=401)
+    assert grid.values.max() <= TWO_OVER_PI + 1e-9
+    peak = np.unravel_index(np.argmax(grid.values), grid.values.shape)
+    for i, j in (peak, (150, 260)):
+        # parity formula through the Fock engine's own displacement
+        shifted = displace(state, -(grid.xs[i] + 1j * grid.ys[j]))
+        signs = np.where(np.arange(shifted.n_trunc + 1) % 2 == 0, 1.0, -1.0)
+        expected = TWO_OVER_PI * float(signs @ photon_distribution(shifted))
+        assert grid.values[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_auto_window_covers_support():
