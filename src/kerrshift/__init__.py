@@ -28,10 +28,10 @@ from .errors import (
     NumericalOverflow,
     OrderTooHigh,
     OutOfValidityRange,
-    SingularDenominatorForm,
     StateTooLarge,
     TargetBelowFloor,
     TruncationUnachievable,
+    UnboundedOptimum,
     ZeroMeanPhoton,
 )
 from .fock import (

@@ -156,11 +156,10 @@ _OPTIMUM_COLUMNS = ["kz", "beta_re", "beta_im", "beta_abs", "fano_min",
 def cmd_optimize(args, config: RunConfig) -> int:
     alpha = _parse_complex("alpha", _require("alpha", _pick(args.alpha, config.alpha and str(config.alpha))))
     kz = _pick(args.kz, config.kz)
-    tol_fano = float(_pick(args.tol_fano, config.tol_fano))
     tol_kz = float(_pick(args.tol_kz, config.tol_kz))
     try:
         if kz is not None:
-            opt = optimize_beta(KerrScenario(alpha, float(kz)), fano_tol=tol_fano)
+            opt = optimize_beta(KerrScenario(alpha, float(kz)))
         else:
             opt = optimize_length(alpha, rel_tol=tol_kz)
     except ValueError as exc:
@@ -168,7 +167,7 @@ def cmd_optimize(args, config: RunConfig) -> int:
     meta = {"command": "optimize", "version": __version__,
             "config": {"alpha_re": alpha.real, "alpha_im": alpha.imag,
                        "kz": float(kz) if kz is not None else "optimized",
-                       "tol_fano": tol_fano, "tol_kz": tol_kz}}
+                       "tol_kz": tol_kz}}
     artifact = Artifact(meta, _OPTIMUM_COLUMNS, [_optimum_rows(opt)])
     _emit(artifact, args.format, args.out, [
         f"beta_opt        = {opt.beta_opt.real:.6g} {opt.beta_opt.imag:+.6g}j "
@@ -194,17 +193,13 @@ def cmd_sweep_length(args, config: RunConfig) -> int:
             kz_values = list(np.geomspace(args.kz_min, args.kz_max, args.kz_points))
         else:
             kz_values = list(np.linspace(args.kz_min, args.kz_max, args.kz_points))
-    parallel = int(_pick(args.parallel, config.parallel))
-    if parallel < 1:
-        raise CliError("parallel: must be >= 1")
     try:
-        optima = sweep_length(alpha, kz_values, parallel=parallel)
+        optima = sweep_length(alpha, kz_values)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     meta = {"command": "sweep-length", "version": __version__,
             "config": {"alpha_re": alpha.real, "alpha_im": alpha.imag,
-                       "kz_values": [float(k) for k in kz_values],
-                       "parallel": parallel}}
+                       "kz_values": [float(k) for k in kz_values]}}
     artifact = Artifact(meta, _OPTIMUM_COLUMNS, [_optimum_rows(o) for o in optima])
     best = min(optima, key=lambda o: o.fano_min)
     _emit(artifact, args.format, args.out, [
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimal shift (and length, without --kz)")
     p.add_argument("alpha", nargs="?")
     p.add_argument("--kz", type=float, default=None)
-    p.add_argument("--tol-fano", type=float, default=None, dest="tol_fano")
     p.add_argument("--tol-kz", type=float, default=None, dest="tol_kz")
     common(p)
     p.set_defaults(func=cmd_optimize)
@@ -403,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kz-max", type=float, default=None)
     p.add_argument("--kz-points", type=int, default=25)
     p.add_argument("--kz-log", action="store_true")
-    p.add_argument("--parallel", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_sweep_length)
 

@@ -30,8 +30,8 @@ class NonConvergence(KerrshiftError):
     """Iterative search exceeded its iteration cap."""
 
 
-class SingularDenominatorForm(KerrshiftError):
-    """Quadratic form of the mean photon number is singular and not proportional to the numerator."""
+class UnboundedOptimum(KerrshiftError):
+    """The minimum Fano factor over the shift is approached only as |beta| grows without bound."""
 
 
 class OutOfValidityRange(KerrshiftError):

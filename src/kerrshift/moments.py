@@ -113,40 +113,68 @@ class FanoReport:
                    suppression_db=10.0 * np.log10(fano))
 
 
-def _fano_core(a2: float, kz: float, beta, tau: float):
-    """Fano factor and denominator form over (broadcastable) beta values.
+@dataclass(frozen=True)
+class FanoForms:
+    """The Fano factor as a ratio of real quadratic forms over v = (1, Re b, Im b):
 
-    Returns (F, denom) with mean photon number tau^2 |a|^2 denom. The bracket
-    of the variance expression is assembled from cancellation-free pieces:
+        F(beta) = 1 + tau^2 |a|^2 (v^T K v) / (s + |beta + g1|^2).
+
+    The denominator form is diag(s, 1, 1) in gamma = beta + g1, so it is kept
+    as (g1, s). The bracket form K is built from cancellation-free pieces:
         u = e^{-2ikz} - 1 = -2i sin(kz) e^{-ikz}
-        w = e^{-2ikz} g2* - g1*^2 = g1*^2 (e^{|a|^2 u^2 - 2ikz} - 1)
+        c = u g1*
+        w = e^{-2ikz} g2* - g1*^2 = g1*^2 expm1(x),  x = |a|^2 u^2 - 2ikz
         s = 1 - |g1|^2 = -expm1(-4 |a|^2 sin^2 kz)
+    with v^T K v = 4 Re(beta c) + 2 Re(beta^2 w) + 2 |beta|^2 s, so K[0, 0] = 0
+    and F(0) = 1 exactly. Once Re x > 1, w is taken from the difference
+    instead: there g1*^2 may underflow while expm1(x) overflows.
     """
-    beta = np.asarray(beta, dtype=complex)
-    g1, _ = g_factors(KerrScenario(np.sqrt(a2), kz))
+
+    g1: complex
+    s: float
+    bracket: np.ndarray
+
+    def evaluate(self, beta, m: float):
+        """(F, denominator) at (broadcastable) beta, with m = tau^2 |a|^2."""
+        beta = np.asarray(beta, dtype=complex)
+        x, y = beta.real, beta.imag
+        k = self.bracket
+        quad = (2.0 * (k[0, 1] * x + k[0, 2] * y)
+                + k[1, 1] * x * x + 2.0 * k[1, 2] * x * y + k[2, 2] * y * y)
+        denom = self.s + np.abs(beta + self.g1) ** 2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fano = 1.0 + m * quad / denom
+        return fano, denom
+
+
+def fano_forms(scenario: KerrScenario) -> FanoForms:
+    """The denominator and bracket forms of the Fano factor at (|alpha|, kz)."""
+    a2, kz = scenario.abs_alpha_sq, scenario.kz
+    g1, g2 = g_factors(scenario)
     u = -2j * np.sin(kz) * np.exp(-1j * kz)
-    d_exp = a2 * u * u - 2j * kz
-    w = np.conj(g1) ** 2 * (np.exp(d_exp) - 1.0)
-    s = -np.expm1(-4.0 * a2 * np.sin(kz) ** 2)
-    denom = 1.0 + 2.0 * (beta * np.conj(g1)).real + np.abs(beta) ** 2
-    bracket = (4.0 * (beta * u * np.conj(g1)).real
-               + 2.0 * (beta * beta * w).real
-               + 2.0 * np.abs(beta) ** 2 * s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fano = 1.0 + tau * tau * a2 * bracket / denom
-    return fano, denom
+    c = u * np.conj(g1)
+    x = a2 * u * u - 2j * kz
+    if x.real <= 1.0:
+        w = np.conj(g1) ** 2 * np.expm1(x)
+    else:
+        w = np.exp(-2j * kz) * np.conj(g2) - np.conj(g1) ** 2
+    s = float(-np.expm1(-4.0 * a2 * np.sin(kz) ** 2))
+    bracket = 2.0 * np.array([[0.0, c.real, -c.imag],
+                              [c.real, w.real + s, -w.imag],
+                              [-c.imag, -w.imag, s - w.real]])
+    return FanoForms(complex(g1), s, bracket)
 
 
 def fano_values(scenario: KerrScenario, betas, tau: float = 1.0) -> np.ndarray:
     """Vectorized Fano factor over an array of shift coordinates beta."""
-    fano, _ = _fano_core(scenario.abs_alpha_sq, scenario.kz, betas, tau)
+    fano, _ = fano_forms(scenario).evaluate(betas, tau * tau * scenario.abs_alpha_sq)
     return np.asarray(fano)
 
 
 def fano_displaced(scenario: KerrScenario, setting: DisplacementSetting) -> FanoReport:
     """Exact Fano factor, mean and variance of the displaced Kerr state."""
     a2 = scenario.abs_alpha_sq
-    fano, denom = _fano_core(a2, scenario.kz, setting.beta, setting.tau)
+    fano, denom = fano_forms(scenario).evaluate(setting.beta, setting.tau ** 2 * a2)
     mean = setting.tau ** 2 * a2 * float(denom)
     if mean <= 0.0 or float(denom) <= 1e-15:
         raise DegenerateDenominator(

@@ -1,31 +1,40 @@
-"""Search for the optimal shift and the optimal medium length.
+"""The optimal shift and the optimal medium length, by an exact pencil solve.
 
-optimize_beta minimizes the exact Fano factor over the complex shift
-coordinate at fixed (alpha, kz): a coarse polar grid seeded by the analytic
-magnitude scale, refined by a derivative-free simplex. optimize_length then
-minimizes over kz by golden section. rayleigh_lower_bound gives the
-independent closed-form check: the Fano factor is a ratio of real quadratic
-forms in (1, Re beta, Im beta), whose minimum over all of beta is bounded by
-the smallest generalized eigenvalue of the 3x3 pencil.
+moments.fano_forms writes the Fano factor as a ratio of real quadratic forms
+over v = (1, Re beta, Im beta):
+
+    F(beta) = 1 + m (v^T K v) / (s + |beta + g1|^2),    m = tau^2 |alpha|^2.
+
+In gamma = beta + g1 the denominator form is exactly diag(s, 1, 1) and the
+bracket form is K' = T^T K T, so the minimum of F over every complex shift is
+1 + m lambda_min, the smallest eigenvalue of the symmetric matrix S K' S with
+S = diag(1/sqrt(s), 1, 1) (the symmetric-definite pencil of Golub & Van Loan,
+Matrix Computations, section 8.7). optimize_beta reads the optimal shift from
+the eigenvector u: beta* = gamma* - g1 with gamma* along (u1, u2). When the
+optimum lies far out (|gamma*| grows like 1/kz), u0 loses its relative
+accuracy, so the distance along that direction is taken from the 2 x 2 pencil
+on the line through gamma = 0, whose stationary points solve a quadratic.
+F, the mean photon number and the suppression are then reported from the
+closed form at beta*.
+
+optimize_length golden-sections kz over the pencil minimum, and sweep_length
+solves at every kz of a grid.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import minimize
 
-from .approx import f_min_approx, kz_opt_approx
-from .errors import NonConvergence, SingularDenominatorForm
+from .approx import kz_opt_approx
+from .errors import NonConvergence, UnboundedOptimum
 from .fock import KerrScenario
-from .moments import DisplacementSetting, fano_displaced, fano_values, g_factors
+from .moments import DisplacementSetting, fano_displaced, fano_forms
 
-# Two beta candidates whose Fano factors differ by no more than this are
-# considered tied; the smaller |beta| (cheaper displacement) wins.
-TIE_TOL = 1e-12
+# The one tolerance of the solve: a gain 1 - F_min at or below it counts as
+# none, and the zero shift (the cheapest displacement) is returned.
+GAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,50 +54,60 @@ def _report(alpha: complex, kz: float, beta: complex) -> Optimum:
                    beta_magnitude=abs(beta))
 
 
-def optimize_beta(scenario: KerrScenario, beta_seed: complex | None = None,
-                  n_angles: int = 64, n_radii: int = 32,
-                  fano_tol: float = 1e-12, max_iter: int = 10_000) -> Optimum:
+def _pencil(scenario: KerrScenario, tau: float = 1.0):
+    """(F_min, u, K', forms): the pencil minimum 1 + m lambda_min, the (Re gamma,
+    Im gamma) part of its eigenvector, and the bracket form in gamma.
+    With s == 0 (kz = 0, or 4 |alpha|^2 sin^2 kz underflowing) F == 1 for
+    every shift, and u and K' are None."""
+    forms = fano_forms(scenario)
+    if forms.s == 0.0:
+        return 1.0, None, None, forms
+    g1 = forms.g1
+    t = np.array([[1.0, 0.0, 0.0], [-g1.real, 1.0, 0.0], [-g1.imag, 0.0, 1.0]])
+    k = t.T @ forms.bracket @ t
+    scale = np.array([1.0 / np.sqrt(forms.s), 1.0, 1.0])
+    lam, vecs = np.linalg.eigh(k * np.outer(scale, scale))
+    f_min = 1.0 + tau * tau * scenario.abs_alpha_sq * float(lam[0])
+    return f_min, vecs[1:, 0], k, forms
+
+
+def optimize_beta(scenario: KerrScenario) -> Optimum:
     """Global minimum of the Fano factor over the complex shift coordinate.
 
-    Stage 1: polar grid of n_angles x n_radii points with radii spanning
-    [0, 4 * seed], seed = sqrt(f_min_approx(|alpha|)) (the magnitude scale of
-    the optimum; its direction comes out roughly perpendicular to arg<a>).
-    Stage 2: Nelder-Mead from the best candidate down to |dF| < fano_tol.
+    Returns the zero shift, at F = 1, when the gain is at most GAIN_TOL.
+    Raises UnboundedOptimum when the minimum is approached only as |beta|
+    grows without bound.
     """
     alpha, kz = scenario.alpha, scenario.kz
     if abs(alpha) <= 0:
         raise ValueError("optimization requires |alpha| > 0")
-    if kz == 0.0:
-        # Kerr phase absent: F == 1 identically, no displacement helps.
-        return _report(alpha, 0.0, 0j)
-
-    seed_mag = float(np.sqrt(f_min_approx(abs(alpha))))
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    radii = np.linspace(0.0, 4.0 * seed_mag, n_radii + 1)[1:]
-    grid = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    grid_f = fano_values(scenario, grid)
-    candidates = [0j, complex(grid[int(np.argmin(grid_f))])]
-    if beta_seed is not None:
-        candidates.append(complex(beta_seed))
-
-    start = min(candidates, key=lambda b: float(fano_values(scenario, b)))
-
-    def objective(xy):
-        return float(fano_values(scenario, complex(xy[0], xy[1])))
-
-    result = minimize(objective, [start.real, start.imag], method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": fano_tol,
-                               "maxiter": max_iter, "maxfev": 2 * max_iter})
-    if not result.success:
-        raise NonConvergence(f"simplex did not converge: {result.message}")
-    candidates.append(complex(result.x[0], result.x[1]))
-
-    scored = [(float(fano_values(scenario, b)), abs(b), b) for b in candidates]
-    best_f = min(f for f, _, _ in scored)
-    # tie-break: among near-minimal candidates prefer the smaller shift
-    _, _, best = min((s for s in scored if s[0] <= best_f + TIE_TOL),
-                     key=lambda s: s[1])
-    return _report(alpha, kz, best)
+    f_min, u, k, forms = _pencil(scenario)
+    if not 1.0 - f_min > GAIN_TOL:
+        return _report(alpha, kz, 0j)
+    s = forms.s
+    norm = float(np.hypot(u[0], u[1]))
+    # u = (0, 0) puts the optimum at gamma = 0
+    e = u / norm if norm > 0.0 else np.array([1.0, 0.0])
+    b = float(k[0, 1:] @ e) if norm > 0.0 else 0.0
+    if b == 0.0:
+        rhos = np.array([0.0])
+    else:
+        # F along gamma = rho e is stationary where b rho^2 + (a - c s) rho - b s = 0,
+        # with a = K'00, c = e^T K'_22 e. The roots multiply to -s, so the small
+        # one is taken from the large one.
+        q = float(e @ k[1:, 1:] @ e) * s - k[0, 0]
+        big = (q + np.copysign(np.hypot(q, 2.0 * b * np.sqrt(s)), q)) / (2.0 * b)
+        rhos = np.array([big, -s / big])
+    betas = rhos * complex(e[0], e[1]) - forms.g1
+    with np.errstate(over="ignore", invalid="ignore"):
+        fano, _ = forms.evaluate(betas, scenario.abs_alpha_sq)
+    fano = np.where(np.isfinite(fano), fano, np.inf)
+    best = int(np.argmin(fano))
+    if not fano[best] < 1.0:
+        raise UnboundedOptimum(
+            f"alpha = {alpha}, kz = {kz}: the pencil minimum F = {f_min!r} is "
+            f"approached only as |beta| grows without bound")
+    return _report(alpha, kz, complex(betas[best]))
 
 
 def _golden_section(func, lo: float, hi: float, rel_tol: float,
@@ -114,85 +133,30 @@ def _golden_section(func, lo: float, hi: float, rel_tol: float,
 def optimize_length(alpha: complex, rel_tol: float = 1e-6,
                     bracket: tuple[float, float] = (0.2, 2.5),
                     max_iter: int = 200) -> Optimum:
-    """Minimize over the medium length: kz -> optimize_beta(alpha, kz).fano_min.
+    """Minimize over the medium length: kz -> the pencil minimum at (alpha, kz).
 
     Golden-section search on [0.2, 2.5] times the analytic length estimate,
-    to a relative kz tolerance of rel_tol. Each evaluation warm-starts the
-    shift search from the previously best shift.
+    to a relative kz tolerance of rel_tol; the shift is then solved at the
+    best length.
     """
     if abs(alpha) < 2.0:
         raise ValueError("optimize_length requires |alpha| >= 2")
     kz_scale = kz_opt_approx(abs(alpha))
-    last_beta: list[complex | None] = [None]
-
-    def objective(kz: float) -> float:
-        opt = optimize_beta(KerrScenario(alpha, kz), beta_seed=last_beta[0])
-        last_beta[0] = opt.beta_opt
-        return opt.fano_min
-
-    kz_best = _golden_section(objective, bracket[0] * kz_scale,
-                              bracket[1] * kz_scale, rel_tol, max_iter)
-    return optimize_beta(KerrScenario(alpha, kz_best), beta_seed=last_beta[0])
+    kz_best = _golden_section(lambda kz: _pencil(KerrScenario(alpha, kz))[0],
+                              bracket[0] * kz_scale, bracket[1] * kz_scale,
+                              rel_tol, max_iter)
+    return optimize_beta(KerrScenario(alpha, kz_best))
 
 
-def sweep_length(alpha: complex, kz_values, parallel: int = 1) -> list[Optimum]:
-    """optimize_beta at every kz of a sorted grid, for F(Kz) curves.
-
-    Sequential runs warm-start each point from the previous optimum; with
-    parallel > 1 the points are evaluated independently on a thread pool.
-    """
+def sweep_length(alpha: complex, kz_values) -> list[Optimum]:
+    """optimize_beta at every kz of a sorted grid, for F(Kz) curves."""
     kz_values = [float(k) for k in kz_values]
     if any(k < 0 for k in kz_values) or kz_values != sorted(kz_values):
         raise ValueError("kz_values must be sorted and non-negative")
-    if parallel > 1:
-        def run(kz):
-            try:
-                return optimize_beta(KerrScenario(alpha, kz))
-            except NonConvergence as exc:
-                raise NonConvergence(f"kz = {kz}: {exc}") from exc
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(run, kz_values))
-    out = []
-    beta = None
-    for kz in kz_values:
-        try:
-            opt = optimize_beta(KerrScenario(alpha, kz), beta_seed=beta)
-        except NonConvergence as exc:
-            raise NonConvergence(f"kz = {kz}: {exc}") from exc
-        beta = opt.beta_opt if kz > 0 else None
-        out.append(opt)
-    return out
-
-
-def _quadratic_forms(scenario: KerrScenario, tau: float = 1.0):
-    """Numerator and denominator of F as 3x3 symmetric forms over (1, Re b, Im b)."""
-    a2 = scenario.abs_alpha_sq
-    kz = scenario.kz
-    g1, _ = g_factors(scenario)
-    u = -2j * np.sin(kz) * np.exp(-1j * kz)
-    w = np.conj(g1) ** 2 * (np.exp(a2 * u * u - 2j * kz) - 1.0)
-    s = -np.expm1(-4.0 * a2 * np.sin(kz) ** 2)
-    den = np.array([[1.0, g1.real, g1.imag],
-                    [g1.real, 1.0, 0.0],
-                    [g1.imag, 0.0, 1.0]])
-    c = u * np.conj(g1)
-    m = tau * tau * a2
-    num = den + m * np.array([[0.0, 2.0 * c.real, -2.0 * c.imag],
-                              [2.0 * c.real, 2.0 * (w.real + s), -2.0 * w.imag],
-                              [-2.0 * c.imag, -2.0 * w.imag, 2.0 * (s - w.real)]])
-    return num, den
+    return [optimize_beta(KerrScenario(alpha, kz)) for kz in kz_values]
 
 
 def rayleigh_lower_bound(scenario: KerrScenario, tau: float = 1.0) -> float:
-    """Smallest generalized eigenvalue of the (numerator, denominator) pencil.
-
-    A lower bound on min_beta F, and equal to it whenever the minimizing
-    eigenvector has a nonzero homogeneous component.
-    """
-    num, den = _quadratic_forms(scenario, tau)
-    if np.allclose(num, den, rtol=0.0, atol=1e-15):
-        return 1.0
-    if np.linalg.eigvalsh(den)[0] < 1e-12:
-        raise SingularDenominatorForm(
-            "denominator form singular and not proportional to the numerator")
-    return float(eigh(num, den, eigvals_only=True)[0])
+    """The pencil minimum of F over every complex shift: the smallest
+    generalized eigenvalue that optimize_beta solves for."""
+    return _pencil(scenario, tau)[0]

@@ -145,8 +145,6 @@ class RunConfig:
     wavelength: float | None = None
     format: str = "json"
     out: str | None = None
-    parallel: int = 1
-    tol_fano: float = 1e-12
     tol_kz: float = 1e-6
 
     def serialize(self) -> str:
@@ -161,7 +159,6 @@ class RunConfig:
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _STR_FIELDS = {"preset", "format", "out"}
-_INT_FIELDS = {"parallel"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -178,8 +175,6 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in _STR_FIELDS:
             setattr(config, key, val)
-        elif key in _INT_FIELDS:
-            setattr(config, key, int(val))
         else:
             setattr(config, key, float(val))
     return config

@@ -96,9 +96,9 @@ def test_sweep_length_values(tmp_path):
     assert payload["data"]["rows"][0][payload["data"]["columns"].index("fano_min")] == 1.0
 
 
-def test_sweep_length_grid_parallel(tmp_path):
+def test_sweep_length_grid(tmp_path):
     code, out = run(["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.03",
-                     "--kz-points", "4", "--parallel", "2"], tmp_path, "sweep2.json")
+                     "--kz-points", "4"], tmp_path, "sweep2.json")
     assert code == 0
     assert len(read_json(out)["data"]["rows"]) == 4
 
@@ -254,9 +254,9 @@ def test_config_file_supplies_inputs(tmp_path):
 
 
 def test_config_round_trip():
-    text = "alpha = 7\nkz = 0.25\nparallel = 3\npreset = si3n4\n"
+    text = "alpha = 7\nkz = 0.25\ntol_kz = 1e-05\npreset = si3n4\n"
     config = parse_config(text)
-    assert config.alpha == 7.0 and config.parallel == 3
+    assert config.alpha == 7.0 and config.tol_kz == 1e-5
     again = parse_config(config.serialize())
     assert again == config
     assert again.serialize() == config.serialize()
@@ -264,8 +264,9 @@ def test_config_round_trip():
 
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_factor = 9\n")
-    assert main(["fano", "2", "0.1", "0", "--config", str(cfg)]) == 2
+    for line in ("warp_factor = 9", "parallel = 2", "tol_fano = 1e-12"):
+        cfg.write_text(line + "\n")
+        assert main(["fano", "2", "0.1", "0", "--config", str(cfg)]) == 2
 
 
 def test_module_entry_smoke():
@@ -279,3 +280,18 @@ def test_version_flag():
     result = subprocess.run([sys.executable, "-m", "kerrshift.cli", "--version"],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def test_closed_form_paths_load_no_scipy_solvers(tmp_path):
+    # the optimizers need only numpy; scipy.special (Fock engine) may load
+    script = (
+        "import sys\n"
+        "from kerrshift.cli import main\n"
+        f"main(['reproduce', 'table1', '--out', {str(tmp_path / 't1.json')!r}])\n"
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "t1.json").is_file()
+    assert result.stdout.splitlines()[-1] == "[]"

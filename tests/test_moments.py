@@ -92,6 +92,13 @@ def test_mean_and_variance_nonnegative(alpha, kz_frac, beta_scale, beta_angle):
     assert report.variance >= -1e-12 * report.mean_photon
 
 
+def test_fano_finite_where_the_dephasing_underflows():
+    # at |a| = 200, kz = 1 both g1 and g2 underflow to 0, while the expm1 of
+    # the w exponent overflows; the forms reduce to F = 1 + 2|a|^2|b|^2 / (1 + |b|^2)
+    scenario = KerrScenario(200.0, 1.0)
+    assert float(fano_values(scenario, 0.1)) == pytest.approx(1.0 + 800.0 / 1.01, rel=1e-12)
+
+
 def test_degenerate_denominator():
     with pytest.raises(DegenerateDenominator):
         fano_displaced(KerrScenario(2.0, 0.0), DisplacementSetting(beta=-1.0 + 0j))
