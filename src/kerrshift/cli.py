@@ -9,6 +9,7 @@ Artifacts are deterministic for fixed inputs: no timestamps, fixed key order,
 from __future__ import annotations
 
 import argparse
+import locale  # argparse's gettext loads it at the first parser build; load it at start-up
 import sys
 from pathlib import Path
 
@@ -16,7 +17,15 @@ import numpy as np
 
 from . import __version__
 from .errors import KerrshiftError, NonConvergence
-from .fock import KerrScenario, coherent_state, displace, kerr_evolve, photon_distribution
+from .fock import (
+    KerrScenario,
+    coherent_state,
+    displace,
+    kerr_evolve,
+    log_factorial,
+    photon_distribution,
+    photon_statistics,
+)
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
 from .optimize import optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
@@ -281,22 +290,19 @@ def cmd_photon_dist(args, config: RunConfig) -> int:
     except (ValueError, KerrshiftError) as exc:
         raise CliError(str(exc)) from exc
     probs = photon_distribution(state)
-    n = np.arange(len(probs))
-    mean = float(probs @ n)
-    variance = float(probs @ (n * n)) - mean * mean
+    stats = photon_statistics(state)
     # Poissonian comparison at the same mean, in log domain
-    from scipy.special import gammaln
-    log_pois = -mean + n * np.log(mean) - gammaln(n + 1.0)
-    pois = np.exp(log_pois)
+    n = np.arange(len(probs))
+    pois = np.exp(-stats.mean + n * np.log(stats.mean) - log_factorial(n))
     meta = {"command": "photon-dist", "version": __version__,
             "config": {"alpha_re": alpha.real, "alpha_im": alpha.imag, "kz": kz,
                        "beta_re": beta.real, "beta_im": beta.imag},
-            "mean": mean, "variance": variance, "fano": variance / mean}
+            "mean": stats.mean, "variance": stats.variance, "fano": stats.fano}
     rows = [[int(i), float(p), float(q)] for i, p, q in zip(n, probs, pois)]
     artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"], rows)
     _emit(artifact, args.format, args.out, [
-        f"mean = {mean:.6g}, variance = {variance:.6g}, "
-        f"fano = {variance / mean:.6g} ({10 * np.log10(variance / mean):.6g} dB)",
+        f"mean = {stats.mean:.6g}, variance = {stats.variance:.6g}, "
+        f"fano = {stats.fano:.6g} ({10 * np.log10(stats.fano):.6g} dB)",
     ])
     return 0
 

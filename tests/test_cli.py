@@ -149,6 +149,24 @@ def test_photon_dist(tmp_path):
     assert abs(rows[:, 2].sum() - 1.0) < 1e-6
 
 
+def test_photon_dist_at_alpha_100_past_the_old_seed_underflow(tmp_path):
+    # 11 549 levels at |delta| ~ 2.5: the diagonals k >= 450 carry the band
+    args = ["photon-dist", "100", "0.0010268", "(-0.00113-0.02482j)"]
+    code, out = run(args, tmp_path, "pd100.json")
+    assert code == 0
+    meta = read_json(out)["meta"]
+    report = fano_displaced(KerrScenario(100.0, 0.0010268),
+                            DisplacementSetting(beta=-0.00113 - 0.02482j))
+    assert meta["fano"] == pytest.approx(report.fano, rel=1e-8)
+    assert meta["mean"] == pytest.approx(report.mean_photon, rel=1e-12)
+
+
+def test_photon_dist_of_the_vacuum_is_a_named_error(capsys):
+    # F = Var(n) / <n> is undefined at <n> = 0: exit 2, not a NaN artifact
+    assert main(["photon-dist", "0", "0", "0"]) == 2
+    assert "zero mean photon number" in capsys.readouterr().err
+
+
 def test_photon_dist_at_alpha_80(tmp_path):
     code, out = run(["photon-dist", "80", "0.001", "0"], tmp_path, "pd80.json")
     assert code == 0
@@ -282,16 +300,24 @@ def test_version_flag():
     assert result.returncode == 0
 
 
-def test_closed_form_paths_load_no_scipy_solvers(tmp_path):
-    # the optimizers need only numpy; scipy.special (Fock engine) may load
+def test_cli_loads_no_scipy(tmp_path):
+    # kerrshift needs only numpy: neither the import nor the Fock and
+    # closed-form paths may load any scipy module
     script = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "from kerrshift.cli import main\n"
+        "print(scipy_modules())\n"
+        f"main(['photon-dist', '3', '0.05', '0.1-0.05j', '--out', {str(tmp_path / 'pd.json')!r}])\n"
         f"main(['reproduce', 'table1', '--out', {str(tmp_path / 't1.json')!r}])\n"
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+        "print(scipy_modules())\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "pd.json").is_file()
     assert (tmp_path / "t1.json").is_file()
-    assert result.stdout.splitlines()[-1] == "[]"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.optimize import minimize
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 from scipy.stats import poisson
 
@@ -16,14 +19,19 @@ from kerrshift import (
     ZeroMeanPhoton,
     coherent_state,
     displace,
+    displacement_matrix,
+    fano_displaced,
     field_moment,
     g_factors,
     kerr_evolve,
+    optimize_beta,
+    optimize_length,
     photon_distribution,
     photon_statistics,
     shift_amplitude,
     DisplacementSetting,
 )
+from kerrshift.fock import log_factorial
 
 
 def test_vacuum_state():
@@ -64,11 +72,28 @@ def test_coherent_state_reaches_the_amplitude_cap(alpha):
     assert state.tail_mass < 1e-12
 
 
-def test_displace_refuses_a_matrix_above_the_byte_limit():
-    # |alpha| = 150 constructs (24020 levels), but its dense displacement
-    # matrix would need ~9.2 GB, so displace raises before allocating it
-    with pytest.raises(TruncationUnachievable, match="MAX_DISPLACE_BYTES"):
-        displace(coherent_state(150.0), 0.01)
+def test_displace_runs_in_o_n_memory_at_alpha_150():
+    # 24 020 levels: a dense matrix would need ~9.2 GB. D(d)|a> = |a + d> for real a, d
+    displaced = displace(coherent_state(150.0), 0.01)
+    target = coherent_state(150.01)
+    n = min(displaced.n_trunc, target.n_trunc) + 1
+    assert displaced.tail_mass <= 1e-10
+    assert np.max(np.abs(displaced.amplitudes[:n] - target.amplitudes[:n])) < 1e-10
+
+
+def test_log_factorial_matches_gammaln():
+    n = np.array([0, 1, 2, 10, 170, 1000, 45000])
+    assert np.allclose(log_factorial(n), gammaln(n + 1.0), rtol=1e-14, atol=0)
+    assert log_factorial(np.arange(6)).tolist() == pytest.approx(
+        np.log([1, 1, 2, 6, 24, 120]).tolist(), abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 0.5, 3.0, 10.0, 200.0])
+def test_coherent_tail_matches_the_poisson_tail(alpha):
+    # at 1e-200 the Poisson mean |alpha|^2 underflows to 0, and so does the tail
+    state = coherent_state(alpha)
+    assert state.tail_mass == pytest.approx(poisson.sf(state.n_trunc, alpha * alpha),
+                                            rel=1e-9)
 
 
 def test_coherent_validation():
@@ -103,6 +128,69 @@ def test_displaced_vacuum_is_coherent():
     target = coherent_state(delta)
     n = min(displaced.n_trunc, target.n_trunc) + 1
     assert np.max(np.abs(displaced.amplitudes[:n] - target.amplitudes[:n])) < 1e-10
+
+
+def _expm_ket(ket, delta, levels):
+    """D(delta) ket in `levels` states by expm_multiply of delta a^dag - delta* a."""
+    padded = np.zeros(levels, dtype=complex)
+    padded[: len(ket)] = ket
+    root = np.sqrt(np.arange(1, levels, dtype=float))
+    gen = diags([delta * root, -np.conj(delta) * root], [-1, 1],
+                shape=(levels, levels), format="csr", dtype=complex)
+    return expm_multiply(gen, padded)
+
+
+def test_dense_view_matches_expm_of_the_generator():
+    # the truncated generator's exponential differs from the truncated
+    # matrix only near its edge, so compare a block far inside it
+    delta, n_max, big = 1.2 - 0.7j, 40, 160
+    root = np.sqrt(np.arange(1, big))
+    gen = np.diag(delta * root, -1) - np.diag(np.conj(delta) * root, 1)
+    exact = expm(gen)[: n_max + 1, : n_max + 1]
+    assert np.max(np.abs(displacement_matrix(delta, n_max) - exact)) < 1e-12
+    assert np.array_equal(displacement_matrix(0, 3), np.eye(4))
+
+
+def test_displace_reaches_diagonals_past_450():
+    # |n = 10^4> under |delta| = 2.5 spreads up to k ~ (100 + 2.5)^2 - 10^4 = 506
+    # diagonals; seeded as exp(log T_0^k), every T_0^k with k >= 450 underflowed
+    n_trunc, delta = 10_000, 2.5 * np.exp(0.7j)
+    amps = np.zeros(n_trunc + 1, dtype=complex)
+    amps[n_trunc] = 1.0
+    out = displace(FockState(amps, n_trunc, 0.0), delta)
+    ref = _expm_ket(amps, delta, out.n_trunc + 1)
+    assert float(np.sum(np.abs(ref[n_trunc + 450:]) ** 2)) > 1e-3
+    assert out.tail_mass <= 1e-10
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-10
+
+
+def test_alpha_200_length_optimum_displaces():
+    # the MAX_AMPLITUDE state: 43 306 levels, O(N) memory, ~4 s
+    opt = optimize_length(200.0)
+    scenario = KerrScenario(200.0, opt.kz)
+    delta = shift_amplitude(scenario, DisplacementSetting(beta=opt.beta_opt))
+    state = displace(kerr_evolve(coherent_state(200.0), opt.kz), delta)
+    assert state.tail_mass <= 1e-10
+    assert photon_statistics(state).fano == pytest.approx(opt.fano_min, rel=1e-8)
+
+
+@given(abs_alpha=st.floats(0.5, 60.0), phase=st.floats(0.0, 2 * np.pi),
+       kz_scale=st.floats(0.3, 3.0), beta_scale=st.floats(0.0, 5.0),
+       beta_turn=st.floats(0.0, 2 * np.pi))
+@settings(max_examples=20, deadline=None)
+def test_fock_fano_matches_closed_form(abs_alpha, phase, kz_scale, beta_scale, beta_turn):
+    # F of the displaced Fock state against the closed form, with beta up to
+    # five times the optimal shift in any direction
+    alpha = abs_alpha * np.exp(1j * phase)
+    kz = kz_scale * (3.0 / 256.0) ** (1.0 / 6.0) * abs_alpha ** (-4.0 / 3.0)
+    scenario = KerrScenario(alpha, kz)
+    beta = beta_scale * np.exp(1j * beta_turn) * optimize_beta(scenario).beta_opt
+    setting = DisplacementSetting(beta=beta)
+    state = kerr_evolve(coherent_state(alpha), kz)
+    if beta != 0:
+        state = displace(state, shift_amplitude(scenario, setting))
+    assert photon_statistics(state).fano == pytest.approx(
+        fano_displaced(scenario, setting).fano, rel=1e-8)
 
 
 def test_displace_zero_is_identity():
