@@ -252,29 +252,29 @@ def cmd_wigner(args, config: RunConfig) -> int:
         raise CliError(str(exc)) from exc
 
     shift = shift_amplitude(scenario, DisplacementSetting(beta=beta))
+    integral, w_max = grid.integral(), float(grid.values.max())
     meta = {"command": "wigner", "version": __version__,
             "config": {"alpha_re": alpha.real, "alpha_im": alpha.imag, "kz": kz,
                        "beta_re": beta.real, "beta_im": beta.imag,
                        "center_re": center.real, "center_im": center.imag,
                        "half_width": half_width, "resolution": resolution},
             "shift_re": shift.real, "shift_im": shift.imag,
-            "integral": grid.integral(), "w_max": float(grid.values.max()),
+            "integral": integral, "w_max": w_max,
             "n_trunc": state.n_trunc, "imag_residue": grid.imag_residue}
     human = [f"grid {resolution}x{resolution}, window half-width {half_width:.6g}",
-             f"integral = {grid.integral():.6g}, max W = {grid.values.max():.6g}"]
+             f"integral = {integral:.6g}, max W = {w_max:.6g}"]
+    xs, ys = grid.xs, grid.ys
     if args.out is not None and args.format == "json":
         payload = {"meta": meta,
-                   "data": {"xs": [float(v) for v in grid.xs],
-                            "ys": [float(v) for v in grid.ys],
-                            "values": [[float(v) for v in row] for row in grid.values]}}
+                   "data": {"xs": xs, "ys": ys, "values": grid.values}}
         Path(args.out).write_text(to_json_text(payload))
         for line in human:
             print(line)
         print(f"wrote {args.out}")
         return 0
-    rows = [[float(x), float(y), float(w)]
-            for i, x in enumerate(grid.xs)
-            for y, w in zip(grid.ys, grid.values[i])]
+    # values[i, j] sits at xs[i] + i ys[j]: rows run over y fastest
+    rows = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
+                            grid.values.ravel()])
     artifact = Artifact(meta, ["x", "y", "w"], rows)
     _emit(artifact, args.format, args.out, human)
     return 0
@@ -298,8 +298,8 @@ def cmd_photon_dist(args, config: RunConfig) -> int:
             "config": {"alpha_re": alpha.real, "alpha_im": alpha.imag, "kz": kz,
                        "beta_re": beta.real, "beta_im": beta.imag},
             "mean": stats.mean, "variance": stats.variance, "fano": stats.fano}
-    rows = [[int(i), float(p), float(q)] for i, p, q in zip(n, probs, pois)]
-    artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"], rows)
+    artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"],
+                        np.column_stack([n, probs, pois]))
     _emit(artifact, args.format, args.out, [
         f"mean = {stats.mean:.6g}, variance = {stats.variance:.6g}, "
         f"fano = {stats.fano:.6g} ({10 * np.log10(stats.fano):.6g} dB)",

@@ -7,9 +7,23 @@ import sys
 import numpy as np
 import pytest
 
-from kerrshift import DisplacementSetting, KerrScenario, fano_displaced, optimize_beta
+from kerrshift import (
+    DisplacementSetting,
+    KerrScenario,
+    auto_window,
+    coherent_state,
+    displace,
+    fano_displaced,
+    kerr_evolve,
+    optimize_beta,
+    photon_distribution,
+    photon_statistics,
+    shift_amplitude,
+    wigner,
+)
 from kerrshift.cli import main
-from kerrshift.serialize import RunConfig, parse_config
+from kerrshift.fock import log_factorial
+from kerrshift.serialize import Artifact, RunConfig, parse_config, to_json_text
 
 
 def run(args, tmp_path=None, out_name=None):
@@ -172,6 +186,49 @@ def test_photon_dist_at_alpha_80(tmp_path):
     assert code == 0
     rows = np.array(read_json(out)["data"]["rows"], dtype=float)
     assert rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _displaced_kerr(alpha, kz, beta):
+    scenario = KerrScenario(alpha, kz)
+    state = kerr_evolve(coherent_state(scenario.alpha), kz)
+    return displace(state, shift_amplitude(scenario, DisplacementSetting(beta=beta)))
+
+
+def _json_and_csv(args, tmp_path, stem):
+    code_json, out_json = run(args, tmp_path, f"{stem}.json")
+    code_csv, out_csv = run(args + ["--format", "csv"], tmp_path, f"{stem}.csv")
+    assert code_json == code_csv == 0
+    return read_json(out_json)["meta"], out_json.read_text(), out_csv.read_text()
+
+
+def test_wigner_artifacts_match_a_per_cell_rendering(tmp_path):
+    meta, json_text, csv_text = _json_and_csv(
+        ["wigner", "3", "0.05", "--beta", "0.2-0.1j", "--resolution", "21"], tmp_path, "w")
+    state = _displaced_kerr(3.0, 0.05, 0.2 - 0.1j)
+    center, half_width = auto_window(state)
+    grid = wigner(state, center=center, half_width=half_width, resolution=21)
+    xs, ys = [float(v) for v in grid.xs], [float(v) for v in grid.ys]
+    values = [[float(v) for v in row] for row in grid.values]
+    assert json_text == to_json_text(
+        {"meta": meta, "data": {"xs": xs, "ys": ys, "values": values}})
+    rows = [[x, y, values[i][j]] for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    assert csv_text == Artifact(meta, ["x", "y", "w"], rows).to_csv_text()
+
+
+def test_photon_dist_artifacts_match_a_per_cell_rendering(tmp_path):
+    meta, json_text, csv_text = _json_and_csv(
+        ["photon-dist", "3", "0.05", "(0.1-0.2j)"], tmp_path, "pd")
+    state = _displaced_kerr(3.0, 0.05, 0.1 - 0.2j)
+    probs, stats = photon_distribution(state), photon_statistics(state)
+    n = np.arange(len(probs))
+    pois = np.exp(-stats.mean + n * np.log(stats.mean) - log_factorial(n))
+    rows = [[int(i), float(p), float(q)] for i, p, q in zip(n, probs, pois)]
+    artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"], rows)
+    assert json_text == artifact.to_json_text()
+    assert csv_text == artifact.to_csv_text()
+    counts = [line.split(",")[0] for line in csv_text.splitlines()
+              if line and not line.startswith("#")][1:]
+    assert counts == [str(i) for i in range(len(probs))]
 
 
 def test_design_full(tmp_path):
