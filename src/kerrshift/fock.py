@@ -113,8 +113,7 @@ def _normalized(amplitudes: np.ndarray, tail_mass: float) -> FockState:
     return FockState(amplitudes, len(amplitudes) - 1, float(tail_mass))
 
 
-def coherent_state(alpha: complex, tol: float = 1e-12,
-                   max_amplitude: float = MAX_AMPLITUDE) -> FockState:
+def coherent_state(alpha: complex, tol: float = 1e-12) -> FockState:
     """Coherent state |alpha>, c_n = e^{-|a|^2/2} a^n / sqrt(n!).
 
     Amplitudes are computed in log domain (log-gamma) so that large |alpha|
@@ -125,9 +124,9 @@ def coherent_state(alpha: complex, tol: float = 1e-12,
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
     a = abs(alpha)
-    if a > max_amplitude:
+    if a > MAX_AMPLITUDE:
         raise AmplitudeTooLarge(
-            f"|alpha| = {a} exceeds the Fock engine cap {max_amplitude}")
+            f"|alpha| = {a} exceeds the Fock engine cap {MAX_AMPLITUDE}")
     n_trunc = int(np.ceil(a * a + 10.0 * a + 20.0))
     while True:
         n = np.arange(n_trunc + 1)

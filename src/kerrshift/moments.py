@@ -32,11 +32,6 @@ def _sin_minus_arg(t: float) -> float:
     return np.sin(t) - t
 
 
-def _cexpm1_imag(y: float) -> complex:
-    """e^{iy} - 1 evaluated stably: -2 sin^2(y/2) + i sin(y)."""
-    return complex(-2.0 * np.sin(y / 2.0) ** 2, np.sin(y))
-
-
 class GFactors(NamedTuple):
     g1: complex
     g2: complex
@@ -57,34 +52,14 @@ def g_factors(scenario: KerrScenario) -> GFactors:
 
 @dataclass(frozen=True)
 class DisplacementSetting:
-    """Beam-splitter transmission and normalized shift coordinate.
-
-    beta is the canonical coordinate; raw reflected-beam parameters
-    (rho, alpha0), when given, are converted at construction and kept only
-    for provenance.
-    """
+    """Beam-splitter transmission and normalized shift coordinate beta."""
 
     tau: float = 1.0
     beta: complex = 0j
-    rho: complex | None = None
-    alpha0: complex | None = None
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if (self.rho is None) != (self.alpha0 is None):
-            raise ValueError("rho and alpha0 must be given together")
-        if self.rho is not None and self.tau ** 2 + abs(self.rho) ** 2 > 1.0 + 1e-12:
-            raise ValueError("beam splitter requires |tau|^2 + |rho|^2 <= 1")
-
-    @classmethod
-    def from_reflected_beam(cls, scenario: KerrScenario, tau: float,
-                            rho: complex, alpha0: complex) -> "DisplacementSetting":
-        """Build the normalized beta from raw (rho, alpha0) for a given scenario."""
-        alpha_s = rho * alpha0
-        beta = alpha_s * np.exp(-2j * scenario.abs_alpha_sq * scenario.kz) \
-            / (tau * scenario.alpha * np.exp(1j * scenario.kz))
-        return cls(tau=tau, beta=complex(beta), rho=rho, alpha0=alpha0)
 
 
 def shift_amplitude(scenario: KerrScenario, setting: DisplacementSetting) -> complex:
@@ -165,9 +140,9 @@ def fano_forms(scenario: KerrScenario) -> FanoForms:
     return FanoForms(complex(g1), s, bracket)
 
 
-def fano_values(scenario: KerrScenario, betas, tau: float = 1.0) -> np.ndarray:
-    """Vectorized Fano factor over an array of shift coordinates beta."""
-    fano, _ = fano_forms(scenario).evaluate(betas, tau * tau * scenario.abs_alpha_sq)
+def fano_values(scenario: KerrScenario, betas) -> np.ndarray:
+    """Vectorized Fano factor over an array of shift coordinates beta, at tau = 1."""
+    fano, _ = fano_forms(scenario).evaluate(betas, scenario.abs_alpha_sq)
     return np.asarray(fano)
 
 

@@ -54,9 +54,9 @@ def _report(alpha: complex, kz: float, beta: complex) -> Optimum:
                    beta_magnitude=abs(beta))
 
 
-def _pencil(scenario: KerrScenario, tau: float = 1.0):
-    """(F_min, u, K', forms): the pencil minimum 1 + m lambda_min, the (Re gamma,
-    Im gamma) part of its eigenvector, and the bracket form in gamma.
+def _pencil(scenario: KerrScenario):
+    """(F_min, u, K', forms) at tau = 1: the pencil minimum 1 + m lambda_min,
+    the (Re gamma, Im gamma) part of its eigenvector, and the bracket form in gamma.
     With s == 0 (kz = 0, or 4 |alpha|^2 sin^2 kz underflowing) F == 1 for
     every shift, and u and K' are None."""
     forms = fano_forms(scenario)
@@ -67,7 +67,7 @@ def _pencil(scenario: KerrScenario, tau: float = 1.0):
     k = t.T @ forms.bracket @ t
     scale = np.array([1.0 / np.sqrt(forms.s), 1.0, 1.0])
     lam, vecs = np.linalg.eigh(k * np.outer(scale, scale))
-    f_min = 1.0 + tau * tau * scenario.abs_alpha_sq * float(lam[0])
+    f_min = 1.0 + scenario.abs_alpha_sq * float(lam[0])
     return f_min, vecs[1:, 0], k, forms
 
 
@@ -131,7 +131,6 @@ def _golden_section(func, lo: float, hi: float, rel_tol: float,
 
 
 def optimize_length(alpha: complex, rel_tol: float = 1e-6,
-                    bracket: tuple[float, float] = (0.2, 2.5),
                     max_iter: int = 200) -> Optimum:
     """Minimize over the medium length: kz -> the pencil minimum at (alpha, kz).
 
@@ -143,7 +142,7 @@ def optimize_length(alpha: complex, rel_tol: float = 1e-6,
         raise ValueError("optimize_length requires |alpha| >= 2")
     kz_scale = kz_opt_approx(abs(alpha))
     kz_best = _golden_section(lambda kz: _pencil(KerrScenario(alpha, kz))[0],
-                              bracket[0] * kz_scale, bracket[1] * kz_scale,
+                              0.2 * kz_scale, 2.5 * kz_scale,
                               rel_tol, max_iter)
     return optimize_beta(KerrScenario(alpha, kz_best))
 
@@ -156,7 +155,7 @@ def sweep_length(alpha: complex, kz_values) -> list[Optimum]:
     return [optimize_beta(KerrScenario(alpha, kz)) for kz in kz_values]
 
 
-def rayleigh_lower_bound(scenario: KerrScenario, tau: float = 1.0) -> float:
+def rayleigh_lower_bound(scenario: KerrScenario) -> float:
     """The pencil minimum of F over every complex shift: the smallest
     generalized eigenvalue that optimize_beta solves for."""
-    return _pencil(scenario, tau)[0]
+    return _pencil(scenario)[0]

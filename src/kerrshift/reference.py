@@ -55,14 +55,8 @@ TABLE3: dict[float, LengthRow] = {
     -15.0: LengthRow(1.80, 82.0, 8.2),
 }
 
-# published crossover behavior at (Kz)_app: numeric value and the two
-# approximation-branch values bracketing it
+# published numeric Fano factor at the crossover length (Kz)_app
 CROSSOVER_NUMERIC_DB = -12.1
-CROSSOVER_BAND_DB = (-12.6, -11.6)
-
-# spotlight values at alpha = 10 optimum
-SPOTLIGHT_VARIANCE = 1.99
-SPOTLIGHT_DB = -16.9
 
 SCALING_EXPONENT = -4.0 / 3.0
 

@@ -37,8 +37,6 @@ def fmt_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -169,9 +167,16 @@ class Artifact:
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; every CLI input has a slot here.
+    """Flat run configuration: the keys a CLI --config file may set.
 
-    A parsed config round-trips: serialize(parse(text)) == serialize(config).
+    A command takes each input from its flag or positional, then from the
+    config file, then from the default here. Readers: alpha (fano, optimize,
+    sweep-length, wigner, photon-dist), kz (fano, optimize, wigner,
+    photon-dist), beta_re and beta_im as beta = beta_re + i beta_im with an
+    unset part 0 (fano, photon-dist, wigner), tau (fano), tol_kz (optimize),
+    and power, spectral_width, target_db, preset, n2, n0, sigma_eff and
+    wavelength (design). Any other key is rejected. A parsed config
+    round-trips: serialize(parse(text)) == serialize(config).
     """
 
     alpha: float | None = None
@@ -187,8 +192,6 @@ class RunConfig:
     n0: float | None = None
     sigma_eff: float | None = None
     wavelength: float | None = None
-    format: str = "json"
-    out: str | None = None
     tol_kz: float = 1e-6
 
     def serialize(self) -> str:
@@ -202,7 +205,7 @@ class RunConfig:
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_STR_FIELDS = {"preset", "format", "out"}
+_STR_FIELDS = {"preset"}
 
 
 def parse_config(text: str) -> RunConfig:

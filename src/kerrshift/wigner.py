@@ -45,7 +45,6 @@ import numpy as np
 from .errors import NumericalOverflow, StateTooLarge
 from .fock import FockState, field_moment, photon_distribution
 
-PURE_STATE_BOUND = 2.0 / np.pi
 # Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
 SUPPORT_MARGIN = 10.0
 # Byte limit on the (S x resolution) complex phase matrix e^{2i p_j s_k}, the

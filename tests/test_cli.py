@@ -1,8 +1,10 @@
 """CLI surface: artifacts, exit codes, determinism, config round trips."""
 
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from kerrshift import (
     shift_amplitude,
     wigner,
 )
-from kerrshift.cli import main
+import kerrshift.cli as cli
+from kerrshift.cli import build_parser, main
 from kerrshift.fock import log_factorial
 from kerrshift.serialize import Artifact, RunConfig, parse_config, to_json_text
 
@@ -241,18 +244,12 @@ def test_design_full(tmp_path):
 
 
 def test_design_target(tmp_path):
-    code, out = run(["design", "--power", "0.1", "--target-db", "-5",
-                     "--preset", "si3n4"], tmp_path, "target.json")
+    code, out = run(["design", "0.1", "--target-db", "-5", "--preset", "si3n4"],
+                    tmp_path, "target.json")
     assert code == 0
     row = dict(zip(read_json(out)["data"]["columns"], read_json(out)["data"]["rows"][0]))
     assert row["z_m"] == pytest.approx(1.8, rel=0.03)
     assert row["x"] == pytest.approx(0.31, rel=0.03)
-
-
-def test_design_positional_power_with_target(tmp_path):
-    code, out = run(["design", "0.1", "--target-db", "-5", "--preset", "si3n4"],
-                    tmp_path, "t2.json")
-    assert code == 0
 
 
 def test_design_requires_waveguide(capsys):
@@ -339,9 +336,102 @@ def test_config_round_trip():
 
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    for line in ("warp_factor = 9", "parallel = 2", "tol_fano = 1e-12"):
+    for line in ("warp_factor = 9", "parallel = 2", "tol_fano = 1e-12",
+                 "format = csv", "out = run.json"):
         cfg.write_text(line + "\n")
         assert main(["fano", "2", "0.1", "0", "--config", str(cfg)]) == 2
+
+
+# (flag form, the same inputs as a config file, the flags that have no config
+# key): every input that has a RunConfig field comes from the config file alone
+CONFIG_CASES = [
+    (["fano", "4", "0.01", "0.05+0.02j", "--tau", "0.7"],
+     "alpha = 4\nkz = 0.01\nbeta_re = 0.05\nbeta_im = 0.02\ntau = 0.7\n", []),
+    (["optimize", "10", "--kz", "0.0218", "--tol-kz", "1e-05"],
+     "alpha = 10\nkz = 0.0218\ntol_kz = 1e-05\n", []),
+    (["wigner", "3", "0.05", "--beta", "0.2-0.1j", "--resolution", "21"],
+     "alpha = 3\nkz = 0.05\nbeta_re = 0.2\nbeta_im = -0.1\n", ["--resolution", "21"]),
+    (["photon-dist", "3", "0.05", "(0.1-0.2j)"],
+     "alpha = 3\nkz = 0.05\nbeta_re = 0.1\nbeta_im = -0.2\n", []),
+    (["design", "0.1", "1e8", "--preset", "si3n4"],
+     "power = 0.1\nspectral_width = 1e8\npreset = si3n4\n", []),
+    (["design", "0.1", "--target-db", "-5", "--preset", "si3n4"],
+     "power = 0.1\ntarget_db = -5\npreset = si3n4\n", []),
+    (["design", "0.1", "1e8", "--n2", "2.5e-19", "--n0", "2.0", "--sigma-eff",
+      "0.3e-12", "--wavelength", "1.55e-6"],
+     "power = 0.1\nspectral_width = 1e8\nn2 = 2.5e-19\nn0 = 2.0\n"
+     "sigma_eff = 0.3e-12\nwavelength = 1.55e-6\n", []),
+]
+
+
+def _run_from_config(case, tmp_path, stem):
+    flags, text, extra = case
+    cfg = tmp_path / f"{stem}.cfg"
+    cfg.write_text(text)
+    return run([flags[0], "--config", str(cfg)] + extra, tmp_path, f"{stem}.json")
+
+
+@pytest.mark.parametrize("case", CONFIG_CASES, ids=lambda c: " ".join(c[0][:2]))
+def test_config_file_writes_the_flag_form_artifact(case, tmp_path):
+    code_flags, from_flags = run(case[0], tmp_path, "flags.json")
+    code_config, from_config = _run_from_config(case, tmp_path, "config")
+    assert code_flags == code_config == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+def test_every_config_field_is_read(tmp_path, monkeypatch):
+    # a RunConfig field that no command reads would be a config key that is
+    # accepted and silently ignored
+    read = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    load = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda path: Recording(**vars(load(path))))
+    for i, case in enumerate(CONFIG_CASES):
+        assert _run_from_config(case, tmp_path, f"c{i}")[0] == 0
+    assert {f.name for f in fields(RunConfig)} <= read
+
+
+def test_every_subcommand_has_help(capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"fano", "optimize", "sweep-length", "wigner",
+                                "photon-dist", "design", "reproduce"}
+    for name in sub.choices:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: kerrshift {name}" in capsys.readouterr().out
+
+
+INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["design", "0.1", "1e8", "--n2", "-1"] + INLINE_WAVEGUIDE, None, "n2 must be positive"),
+    (["design", "-0.1", "1e8", "--preset", "si3n4"], None, "power must be positive"),
+    (["design", "0.1", "1e8", "--preset", "FILE"], "n2_m2_per_W 2.5e-19\n", "preset line 1"),
+    (["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.02", "--kz-points", "0"],
+     None, "kz-points"),
+    (["sweep-length", "10", "--kz-min", "0", "--kz-max", "0.02", "--kz-log"], None, "kz-min"),
+    (["sweep-length", "10", "--kz-values", ","], None, "kz-values"),
+    (["wigner", "3", "0.05", "--half-width", "x"], None, "half_width"),
+    (["fano", "--config", "FILE"], "alpha = 0\nkz = 0.01\nbeta_re = 0.1\n",
+     "mean photon number"),
+], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
+        "config-alpha-0"])
+def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
+    # each of these once ended in a traceback (exit 1)
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_module_entry_smoke():

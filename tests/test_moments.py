@@ -104,24 +104,11 @@ def test_degenerate_denominator():
         fano_displaced(KerrScenario(2.0, 0.0), DisplacementSetting(beta=-1.0 + 0j))
 
 
-def test_reflected_beam_conversion_consistency():
-    scenario = KerrScenario(4.0 - 1.0j, 0.01)
-    rho = 0.01 + 0.004j
-    alpha0 = 30.0 + 5.0j
-    tau = float(np.sqrt(1.0 - abs(rho) ** 2))
-    setting = DisplacementSetting.from_reflected_beam(scenario, tau, rho, alpha0)
-    assert shift_amplitude(scenario, setting) == pytest.approx(rho * alpha0, rel=1e-12)
-
-
 def test_displacement_setting_validation():
     with pytest.raises(ValueError):
         DisplacementSetting(tau=0.0)
     with pytest.raises(ValueError):
         DisplacementSetting(tau=1.2)
-    with pytest.raises(ValueError):
-        DisplacementSetting(tau=1.0, rho=0.2 + 0j, alpha0=None)
-    with pytest.raises(ValueError):
-        DisplacementSetting(tau=0.999, rho=0.5 + 0j, alpha0=1.0 + 0j)
 
 
 def test_tau_scaling_of_mean():
