@@ -252,6 +252,15 @@ def test_design_target(tmp_path):
     assert row["x"] == pytest.approx(0.31, rel=0.03)
 
 
+def test_design_positional_power_with_target(tmp_path):
+    code, out = run(["design", "0.1", "--target-db", "-5", "--preset", "si3n4"],
+                    tmp_path, "t2.json")
+    assert code == 0
+    config = read_json(out)["meta"]["config"]
+    assert config["power"] == 0.1
+    assert config["target_db"] == -5
+
+
 def test_design_requires_waveguide(capsys):
     assert main(["design", "0.1", "1e8"]) == 2
     assert "preset" in capsys.readouterr().err
