@@ -31,7 +31,8 @@ from kerrshift import (
     shift_amplitude,
     DisplacementSetting,
 )
-from kerrshift.fock import log_factorial
+from kerrshift import fock
+from kerrshift.fock import _BAND_TOL, _band, _columns, _edge_band, log_factorial
 
 
 def test_vacuum_state():
@@ -162,6 +163,40 @@ def test_displace_reaches_diagonals_past_450():
     assert float(np.sum(np.abs(ref[n_trunc + 450:]) ** 2)) > 1e-3
     assert out.tail_mass <= 1e-10
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-10
+
+
+@given(delta_abs=st.floats(1e-3, 10.0), n_trunc=st.integers(1, 2000))
+@settings(max_examples=25, deadline=None)
+@example(delta_abs=2.12, n_trunc=2000)
+@example(delta_abs=1e-3, n_trunc=2000)
+def test_band_drops_only_elements_below_its_tolerance(delta_abs, n_trunc):
+    # every column displace() generates, over the classical-edge band: the
+    # diagonals past the Szego band carry no element at or above _BAND_TOL
+    n_max = n_trunc + int(np.ceil(10.0 * (delta_abs + 1.0)))
+    edge, band = _edge_band(delta_abs, n_max), _band(delta_abs, n_max, n_trunc)
+    assert 1 <= band <= edge
+    for _, block in _columns(delta_abs, n_trunc + 1, edge):
+        assert np.all(np.abs(block[:, band:]) < _BAND_TOL)
+
+
+def _length_optimum_state(alpha):
+    opt = optimize_length(alpha)
+    scenario = KerrScenario(alpha, opt.kz)
+    delta = shift_amplitude(scenario, DisplacementSetting(beta=opt.beta_opt))
+    return kerr_evolve(coherent_state(alpha), opt.kz), delta
+
+
+@pytest.mark.parametrize("case", ["alpha-60-optimum", "alpha-150-by-0.01"])
+def test_band_matches_the_edge_band(case, monkeypatch):
+    # the Szego band carries 423 of 714 diagonals at the alpha = 60 optimum
+    # and 25 of 944 at alpha = 150 displaced by 0.01
+    state, delta = (_length_optimum_state(60.0) if case == "alpha-60-optimum"
+                    else (coherent_state(150.0), 0.01))
+    narrow = displace(state, delta)
+    monkeypatch.setattr(fock, "_band", lambda d, n_max, n_trunc: _edge_band(d, n_max))
+    wide = displace(state, delta)
+    assert narrow.n_trunc == wide.n_trunc
+    assert np.max(np.abs(narrow.amplitudes - wide.amplitudes)) <= 1e-18
 
 
 def test_alpha_200_length_optimum_displaces():
