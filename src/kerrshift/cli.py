@@ -182,6 +182,8 @@ _OPTIMUM_COLUMNS = ["kz", "beta_re", "beta_im", "beta_abs", "fano_min",
 
 def cmd_optimize(args, config: RunConfig):
     alpha, kz, tol_kz = _inputs(args, config, "alpha", optional=("kz", "tol_kz"))
+    if not (np.isfinite(tol_kz) and tol_kz > 0):
+        raise CliError(f"tol_kz: must be finite and positive, got {tol_kz!r}")
     if kz is not None:
         opt = optimize_beta(KerrScenario(alpha, kz))
     else:

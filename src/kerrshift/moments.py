@@ -60,6 +60,8 @@ class DisplacementSetting:
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
 
 def shift_amplitude(scenario: KerrScenario, setting: DisplacementSetting) -> complex:

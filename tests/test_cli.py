@@ -431,10 +431,18 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["wigner", "3", "0.05", "--half-width", "x"], None, "half_width"),
     (["fano", "--config", "FILE"], "alpha = 0\nkz = 0.01\nbeta_re = 0.1\n",
      "mean photon number"),
+    (["fano", "2", "0.1", "nan"], None, "beta must be finite"),
+    (["fano", "2", "0.1", "(inf+0j)"], None, "beta must be finite"),
+    (["photon-dist", "3", "0.05", "nan"], None, "beta must be finite"),
+    (["optimize", "10", "--tol-kz", "0"], None, "tol_kz"),
+    (["optimize", "10", "--tol-kz", "-1"], None, "tol_kz"),
+    (["optimize", "--config", "FILE"], "alpha = 10\ntol_kz = 0\n", "tol_kz"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
-        "config-alpha-0"])
+        "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
+        "tol-kz-0", "tol-kz-negative", "config-tol-kz-0"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
-    # each of these once ended in a traceback (exit 1)
+    # each of these once ended in a traceback (exit 1), wrote F = nan (exit 0)
+    # or ran the length search to its iteration cap (exit 3)
     if text is not None:
         path = tmp_path / "input.txt"
         path.write_text(text)
