@@ -185,21 +185,27 @@ def _band(delta_abs: float, n_max: int, n_trunc: int) -> int:
 
     B_n^k grows with n, so B at n = n_trunc, the last column generated,
     bounds every element in use. log B is concave in k and B_n^0 = 1, so
-    once B falls below _BAND_TOL it stays below: the first such k is a band
-    that drops no element above _BAND_TOL. For a small state under a large
-    shift (the vacuum displaced by 6.5) the bound is loose and the classical
-    edge of _edge_band() is tighter, so K is the smaller of the two; no
-    input gets a wider band than the edge alone gives. At the alpha = 60
-    optimum (|delta| = 2.12, n_trunc = 4220) the bound gives K = 423 and
-    the edge 714. A band too narrow would show as a norm defect.
+    once B falls below _BAND_TOL it stays below: the first such k, found by
+    bisection, is a band that drops no element above _BAND_TOL. For a small
+    state under a large shift (the vacuum displaced by 6.5) the bound is
+    loose and the classical edge of _edge_band() is tighter, so K is the
+    smaller of the two; no input gets a wider band than the edge alone
+    gives. At the alpha = 60 optimum (|delta| = 2.12, n_trunc = 4220) the
+    bound gives K = 423 and the edge 714. A band too narrow would show as a
+    norm defect.
     """
-    edge_band = _edge_band(delta_abs, n_max)
-    ks = np.arange(edge_band, dtype=float)
-    # log |delta| stays finite where x underflows to 0
-    log_bound = (0.5 * (log_factorial(n_trunc + ks) - log_factorial(n_trunc))
-                 + ks * math.log(delta_abs) - log_factorial(ks))
-    below = np.flatnonzero(log_bound < math.log(_BAND_TOL))
-    return int(below[0]) if below.size else edge_band
+    def below_tol(k: int) -> bool:
+        # log |delta| stays finite where x underflows to 0
+        log_bound = (0.5 * (math.lgamma(n_trunc + k + 1.0) - math.lgamma(n_trunc + 1.0))
+                     + k * math.log(delta_abs) - math.lgamma(k + 1.0))
+        return log_bound < math.log(_BAND_TOL)
+
+    # bisect for the first k below _BAND_TOL, keeping B^lo >= _BAND_TOL
+    lo, hi = 0, _edge_band(delta_abs, n_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below_tol(mid) else (mid, hi)
+    return hi
 
 
 def _columns(delta_abs: float, n_cols: int, band: int):

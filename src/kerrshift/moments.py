@@ -15,6 +15,7 @@ beta. These closed forms hold at any amplitude, far beyond Fock-engine reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,7 +61,7 @@ class DisplacementSetting:
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if not np.isfinite(self.beta):
+        if not (math.isfinite(self.beta.real) and math.isfinite(self.beta.imag)):
             raise ValueError(f"beta must be finite, got {self.beta}")
 
 
