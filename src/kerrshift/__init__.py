@@ -8,22 +8,17 @@ physical waveguide design estimates, all behind one CLI (`kerrshift`).
 __version__ = "0.1.0"
 
 from .approx import (
-    ApproxCurve,
-    ApproxRegime,
-    PiecewiseFano,
     f1_short,
     f2_near_opt,
     f_min_approx,
     f_piecewise,
     kz_app,
     kz_opt_approx,
-    validity_curves,
 )
 from .errors import (
     AmplitudeTooLarge,
     DegenerateDenominator,
     KerrshiftError,
-    NoRealRoot,
     NonConvergence,
     NumericalOverflow,
     OrderTooHigh,
@@ -49,7 +44,6 @@ from .fock import (
 from .moments import (
     DisplacementSetting,
     FanoReport,
-    GFactors,
     fano_displaced,
     fano_values,
     g_factors,
@@ -64,7 +58,6 @@ from .optimize import (
 )
 from .waveguide import (
     BeamSpec,
-    LengthSolution,
     WaveguideSpec,
     alpha_from_power,
     fano_floor_physical,

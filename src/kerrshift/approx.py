@@ -8,9 +8,6 @@ All radical constants are evaluated at runtime, not hard-coded decimals.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OutOfValidityRange
@@ -21,17 +18,6 @@ KZ_APP_COEFF = (np.sqrt(3.0) / 2.0) ** (1.0 / 3.0)
 KZ_OPT_COEFF = 3.0 ** (1.0 / 6.0) / 2.0 ** (4.0 / 3.0)
 # 3^(2/3) / 2^(7/3) ~ 0.413: minimal-Fano coefficient (F2 at its argmin)
 F_MIN_COEFF = 3.0 ** (2.0 / 3.0) / 2.0 ** (7.0 / 3.0)
-
-
-class ApproxRegime(enum.Enum):
-    SHORT_LENGTH = "short_length"
-    NEAR_OPTIMUM = "near_optimum"
-
-
-@dataclass(frozen=True)
-class ApproxCurve:
-    regime: ApproxRegime
-    valid_kz_range: tuple[float, float]
 
 
 def f1_short(alpha_sq: float, kz: float) -> float:
@@ -76,31 +62,18 @@ def f_min_approx(alpha: float) -> float:
     return F_MIN_COEFF / alpha ** (4.0 / 3.0)
 
 
-def validity_curves(alpha: float) -> tuple[ApproxCurve, ApproxCurve]:
-    """The two regime descriptors for a given amplitude."""
-    boundary = kz_app(alpha * alpha)
-    top = 2.0 * kz_opt_approx(alpha)
-    return (ApproxCurve(ApproxRegime.SHORT_LENGTH, (0.0, boundary)),
-            ApproxCurve(ApproxRegime.NEAR_OPTIMUM, (boundary, top)))
-
-
-@dataclass(frozen=True)
-class PiecewiseFano:
-    value: float
-    curve: ApproxCurve
-
-
-def f_piecewise(alpha: float, kz: float) -> PiecewiseFano:
-    """F1 below the crossover, F2 above, with the regime recorded.
+def f_piecewise(alpha: float, kz: float) -> tuple[float, str]:
+    """(F, regime): F1 on [0, (Kz)_app], regime "short_length", and F2 above
+    it up to 2 (Kz)_opt, regime "near_optimum".
 
     The switch sits exactly at (Kz)_app; the two branches disagree there by
-    about 1 dB, which is the documented seam of the approximation.
+    about 1 dB, which is the documented seam of the approximation. Outside
+    [0, 2 (Kz)_opt] OutOfValidityRange is raised.
     """
-    short, near = validity_curves(alpha)
-    if kz < 0 or kz > near.valid_kz_range[1]:
-        raise OutOfValidityRange(
-            f"kz = {kz} outside [0, {near.valid_kz_range[1]}] for alpha = {alpha}")
+    top = 2.0 * kz_opt_approx(alpha)
+    if kz < 0 or kz > top:
+        raise OutOfValidityRange(f"kz = {kz} outside [0, {top}] for alpha = {alpha}")
     a2 = alpha * alpha
-    if kz <= short.valid_kz_range[1]:
-        return PiecewiseFano(f1_short(a2, kz), short)
-    return PiecewiseFano(f2_near_opt(a2, kz), near)
+    if kz <= kz_app(a2):
+        return f1_short(a2, kz), "short_length"
+    return f2_near_opt(a2, kz), "near_optimum"

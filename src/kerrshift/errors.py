@@ -10,8 +10,8 @@ class AmplitudeTooLarge(KerrshiftError):
 
 
 class TruncationUnachievable(KerrshiftError):
-    """Requested tail tolerance cannot be met below the hard basis-size cap,
-    or a displaced state loses more norm to its truncated basis than allowed."""
+    """A displaced state needs more levels than the hard basis-size cap, or
+    loses more norm to its truncated basis than allowed."""
 
 
 class OrderTooHigh(KerrshiftError):
@@ -40,10 +40,6 @@ class OutOfValidityRange(KerrshiftError):
 
 class TargetBelowFloor(KerrshiftError):
     """Requested suppression is deeper than the physical minimum Fano factor."""
-
-
-class NoRealRoot(KerrshiftError):
-    """Suppression-target inversion has no real solution."""
 
 
 class StateTooLarge(KerrshiftError):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +32,8 @@ def _sin_minus_arg(t: float) -> float:
     return np.sin(t) - t
 
 
-class GFactors(NamedTuple):
-    g1: complex
-    g2: complex
-
-
-def g_factors(scenario: KerrScenario) -> GFactors:
-    """Dephasing factors of the Kerr-evolved field moments.
+def g_factors(scenario: KerrScenario) -> tuple[complex, complex]:
+    """Dephasing factors (g1, g2) of the Kerr-evolved field moments.
 
     The exponents |a|^2 (e^{2ikz} - 1 - 2ikz) and |a|^2 (e^{4ikz} - 1 - 4ikz)
     are assembled from expm1-style pieces so g - 1 stays accurate near kz = 0.
@@ -48,7 +42,7 @@ def g_factors(scenario: KerrScenario) -> GFactors:
     kz = scenario.kz
     e1 = a2 * complex(-2.0 * np.sin(kz) ** 2, _sin_minus_arg(2.0 * kz))
     e2 = a2 * complex(-2.0 * np.sin(2.0 * kz) ** 2, _sin_minus_arg(4.0 * kz))
-    return GFactors(np.exp(e1), np.exp(e2))
+    return np.exp(e1), np.exp(e2)
 
 
 @dataclass(frozen=True)

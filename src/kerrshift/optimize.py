@@ -35,6 +35,8 @@ from .moments import DisplacementSetting, fano_displaced, fano_forms
 # The one tolerance of the solve: a gain 1 - F_min at or below it counts as
 # none, and the zero shift (the cheapest displacement) is returned.
 GAIN_TOL = 1e-12
+# Iteration cap of the golden-section length search; NonConvergence past it.
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,12 @@ def optimize_beta(scenario: KerrScenario) -> Optimum:
     return _report(alpha, kz, complex(betas[best]))
 
 
-def _golden_section(func, lo: float, hi: float, rel_tol: float,
-                    max_iter: int) -> float:
+def _golden_section(func, lo: float, hi: float, rel_tol: float) -> float:
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
     c = hi - ratio * (hi - lo)
     d = lo + ratio * (hi - lo)
     fc, fd = func(c), func(d)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if (hi - lo) <= rel_tol * (abs(lo) + abs(hi)) / 2.0:
             return (lo + hi) / 2.0
         if fc < fd:
@@ -127,23 +128,21 @@ def _golden_section(func, lo: float, hi: float, rel_tol: float,
             lo, c, fc = c, d, fd
             d = lo + ratio * (hi - lo)
             fd = func(d)
-    raise NonConvergence(f"golden section exceeded {max_iter} iterations")
+    raise NonConvergence(f"golden section exceeded {MAX_ITER} iterations")
 
 
-def optimize_length(alpha: complex, rel_tol: float = 1e-6,
-                    max_iter: int = 200) -> Optimum:
+def optimize_length(alpha: complex, rel_tol: float = 1e-6) -> Optimum:
     """Minimize over the medium length: kz -> the pencil minimum at (alpha, kz).
 
     Golden-section search on [0.2, 2.5] times the analytic length estimate,
-    to a relative kz tolerance of rel_tol; the shift is then solved at the
-    best length.
+    to a relative kz tolerance of rel_tol within MAX_ITER iterations; the
+    shift is then solved at the best length.
     """
     if abs(alpha) < 2.0:
         raise ValueError("optimize_length requires |alpha| >= 2")
     kz_scale = kz_opt_approx(abs(alpha))
     kz_best = _golden_section(lambda kz: _pencil(KerrScenario(alpha, kz))[0],
-                              0.2 * kz_scale, 2.5 * kz_scale,
-                              rel_tol, max_iter)
+                              0.2 * kz_scale, 2.5 * kz_scale, rel_tol)
     return optimize_beta(KerrScenario(alpha, kz_best))
 
 

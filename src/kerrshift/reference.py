@@ -55,9 +55,6 @@ TABLE3: dict[float, LengthRow] = {
     -15.0: LengthRow(1.80, 82.0, 8.2),
 }
 
-# published numeric Fano factor at the crossover length (Kz)_app
-CROSSOVER_NUMERIC_DB = -12.1
-
 SCALING_EXPONENT = -4.0 / 3.0
 
 

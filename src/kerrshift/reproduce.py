@@ -19,6 +19,7 @@ from .optimize import Optimum, optimize_beta, optimize_length, sweep_length
 from .reference import round_sig
 from .serialize import Artifact
 from .waveguide import (
+    CROSSOVER_DB,
     BeamSpec,
     alpha_from_power,
     fano_floor_physical,
@@ -34,7 +35,13 @@ TABLE3_X_TOL = 0.03
 FIG4_DB_TOL = 1.0
 FIG5_EXPONENT_TOL = 0.05
 
-TARGETS = ("table1", "table2", "table3", "fig3", "fig4", "fig5")
+# the inputs of the published tables and figures
+PRESET = "si3n4"
+FIG3_ALPHAS = (50.0, 100.0)
+FIG3_POINTS = 45
+FIG4_ALPHA = 50.0
+FIG4_POINTS = 50
+FIG5_ALPHAS = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0)
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +85,8 @@ def build_table1() -> Artifact:
     return Artifact(meta, columns, rows, failures)
 
 
-def build_table2(preset: str = "si3n4") -> Artifact:
-    wg = load_preset(preset)
+def build_table2() -> Artifact:
+    wg = load_preset(PRESET)
     columns = ["spectral_width_hz", "power_w",
                "alpha", "alpha_ref", "alpha_match",
                "fano_db", "fano_db_ref", "fano_db_match",
@@ -101,12 +108,12 @@ def build_table2(preset: str = "si3n4") -> Artifact:
         rows.append([df, power, alpha, cell.alpha, matches["alpha"],
                      fano_db, cell.fano_db, matches["fano_db"],
                      z_opt, cell.z_opt_m, matches["z_opt"]])
-    meta = _meta("table2", {"preset": preset, "comparison": "2 significant figures"})
+    meta = _meta("table2", {"preset": PRESET, "comparison": "2 significant figures"})
     return Artifact(meta, columns, rows, failures)
 
 
-def build_table3(preset: str = "si3n4") -> Artifact:
-    wg = load_preset(preset)
+def build_table3() -> Artifact:
+    wg = load_preset(PRESET)
     columns = ["target_db", "x_ref", "x_inverted", "x_rel_err", "x_asserted",
                "z_10mw_m", "z_10mw_ref_m", "z_10mw_rel_err",
                "z_100mw_m", "z_100mw_ref_m", "z_100mw_rel_err",
@@ -118,7 +125,7 @@ def build_table3(preset: str = "si3n4") -> Artifact:
         x_err = x / ref.x - 1.0
         # the -15 dB published x is inconsistent with its own z values; it is
         # reported here but not held to the tolerance
-        x_asserted = target_db > reference.CROSSOVER_NUMERIC_DB
+        x_asserted = target_db > CROSSOVER_DB
         if x_asserted and abs(x_err) > TABLE3_X_TOL:
             failures.append(f"{target_db} dB: inverted x = {x:.4f} vs published "
                             f"{ref.x} ({100 * x_err:+.2f}%)")
@@ -132,24 +139,20 @@ def build_table3(preset: str = "si3n4") -> Artifact:
                      z10, ref.z_10mw_m, z10_err,
                      z100, ref.z_100mw_m, z100_err,
                      2.0 * ref.x / (g * 1e-2), 2.0 * ref.x / (g * 1e-1)])
-    meta = _meta("table3", {"preset": preset,
+    meta = _meta("table3", {"preset": PRESET,
                             "tolerances": {"z": TABLE3_Z_TOL, "x": TABLE3_X_TOL}},
                  note="published x at -15 dB disagrees with its own z values; "
                       "reported, not asserted")
     return Artifact(meta, columns, rows, failures)
 
 
-def _sweep_grid(alpha: float, lo_frac: float, hi_frac: float, points: int) -> np.ndarray:
-    scale = kz_opt_approx(alpha)
-    return np.linspace(lo_frac * scale, hi_frac * scale, points)
-
-
-def build_fig3(alphas=(50.0, 100.0), points: int = 45) -> Artifact:
+def build_fig3() -> Artifact:
     columns = ["alpha", "kz", "fano", "suppression_db",
                "beta_re", "beta_im", "beta_abs", "mean_photon", "is_optimum"]
     rows, failures = [], []
-    for alpha in alphas:
-        grid = _sweep_grid(alpha, 0.1, 2.2, points)
+    for alpha in FIG3_ALPHAS:
+        scale = kz_opt_approx(alpha)
+        grid = np.linspace(0.1 * scale, 2.2 * scale, FIG3_POINTS)
         for opt in sweep_length(alpha, grid):
             rows.append([alpha, opt.kz, opt.fano_min, opt.suppression_db,
                          opt.beta_opt.real, opt.beta_opt.imag,
@@ -162,37 +165,39 @@ def build_fig3(alphas=(50.0, 100.0), points: int = 45) -> Artifact:
         if ref is not None and abs(best.fano_min / ref.fano_min - 1.0) > TABLE1_TOL["fano_min"]:
             failures.append(f"alpha={alpha:g}: curve minimum {best.fano_min:.4g} "
                             f"vs published {ref.fano_min}")
-    meta = _meta("fig3", {"alphas": list(alphas), "points": points})
+    meta = _meta("fig3", {"alphas": list(FIG3_ALPHAS), "points": FIG3_POINTS})
     return Artifact(meta, columns, rows, failures)
 
 
-def build_fig4(alpha: float = 50.0, points: int = 50) -> Artifact:
+def build_fig4() -> Artifact:
+    alpha = FIG4_ALPHA
     kz_opt = _length_optimum(alpha).kz
-    grid = np.linspace(0.05 * kz_opt, 2.0 * kz_opt, points)
+    grid = np.linspace(0.05 * kz_opt, 2.0 * kz_opt, FIG4_POINTS)
     columns = ["kz", "fano_numeric", "db_numeric", "f1", "f2",
                "f_piecewise", "regime", "db_piecewise", "db_delta"]
     rows, failures = [], []
     a2 = alpha * alpha
     worst = 0.0
     for kz, opt in zip(grid, sweep_length(alpha, grid)):
-        piece = f_piecewise(alpha, kz)
+        piece, regime = f_piecewise(alpha, kz)
         db_num = opt.suppression_db
-        db_piece = 10.0 * np.log10(piece.value)
+        db_piece = 10.0 * np.log10(piece)
         delta = db_piece - db_num
         worst = max(worst, abs(delta))
         rows.append([kz, opt.fano_min, db_num,
                      f1_short(a2, kz), f2_near_opt(a2, kz) if kz > 0 else float("inf"),
-                     piece.value, piece.curve.regime.value, db_piece, delta])
+                     piece, regime, db_piece, delta])
     if worst >= FIG4_DB_TOL:
         failures.append(f"max |approximation - numeric| = {worst:.3f} dB "
                         f"(tolerance {FIG4_DB_TOL} dB)")
-    meta = _meta("fig4", {"alpha": alpha, "points": points,
+    meta = _meta("fig4", {"alpha": alpha, "points": FIG4_POINTS,
                           "tolerances": {"db": FIG4_DB_TOL}},
                  kz_opt=kz_opt, kz_app=kz_app(a2), max_db_delta=worst)
     return Artifact(meta, columns, rows, failures)
 
 
-def build_fig5(alphas=(10.0, 20.0, 30.0, 50.0, 70.0, 100.0)) -> Artifact:
+def build_fig5() -> Artifact:
+    alphas = FIG5_ALPHAS
     columns = ["alpha", "kz_opt", "kz_opt_approx", "f_min", "f_min_approx",
                "suppression_db", "kz_to_fano_ratio"]
     rows, failures = [], []
@@ -201,7 +206,7 @@ def build_fig5(alphas=(10.0, 20.0, 30.0, 50.0, 70.0, 100.0)) -> Artifact:
         rows.append([alpha, opt.kz, kz_opt_approx(alpha),
                      opt.fano_min, f_min_approx(alpha),
                      opt.suppression_db, opt.kz / opt.fano_min])
-    log_a = np.log([a for a in alphas])
+    log_a = np.log(alphas)
     exp_f = float(np.polyfit(log_a, np.log([o.fano_min for o in optima]), 1)[0])
     exp_kz = float(np.polyfit(log_a, np.log([o.kz for o in optima]), 1)[0])
     for name, got in (("f_min", exp_f), ("kz_opt", exp_kz)):
@@ -219,10 +224,13 @@ def build_fig5(alphas=(10.0, 20.0, 30.0, 50.0, 70.0, 100.0)) -> Artifact:
     return Artifact(meta, columns, rows, failures)
 
 
+BUILDERS = {"table1": build_table1, "table2": build_table2,
+            "table3": build_table3, "fig3": build_fig3,
+            "fig4": build_fig4, "fig5": build_fig5}
+TARGETS = tuple(BUILDERS)
+
+
 def build(target: str) -> Artifact:
-    builders = {"table1": build_table1, "table2": build_table2,
-                "table3": build_table3, "fig3": build_fig3,
-                "fig4": build_fig4, "fig5": build_fig5}
-    if target not in builders:
+    if target not in BUILDERS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
-    return builders[target]()
+    return BUILDERS[target]()

@@ -9,21 +9,29 @@ sigma_eff) through the exact identity 2 |a|^2 K = gamma P.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .approx import KZ_APP_COEFF, f_min_approx
-from .errors import NoRealRoot, TargetBelowFloor
+from .errors import TargetBelowFloor
 
 SPEED_OF_LIGHT = 299_792_458.0          # m/s
 HBAR = 1.054_571_817e-34                # J s
 
-# regime rule: targets shallower than this are inverted through F1, deeper through F2
+# published numeric Fano factor at the crossover length (Kz)_app; regime rule:
+# targets at or above it are inverted through F1, deeper ones through F2
 CROSSOVER_DB = -12.1
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,7 @@ class WaveguideSpec:
 
     def __post_init__(self):
         for name in ("n2", "n0", "sigma_eff", "wavelength"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_positive(name, getattr(self, name))
         if not (0.1e-6 <= self.wavelength <= 10e-6):
             raise ValueError(f"wavelength {self.wavelength} m outside the "
                              "sanity window [0.1e-6, 10e-6]")
@@ -61,10 +68,8 @@ class BeamSpec:
     spectral_width: float
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if self.spectral_width <= 0:
-            raise ValueError("spectral_width must be positive")
+        _check_positive("power", self.power)
+        _check_positive("spectral_width", self.spectral_width)
 
     @property
     def coherence_time(self) -> float:
@@ -104,25 +109,23 @@ def fano_floor_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
     return float(10.0 * np.log10(f_min_approx(alpha_from_power(beam, wg))))
 
 
-class LengthSolution(NamedTuple):
-    z: float    # medium length, m
-    x: float    # nonlinear coordinate |a|^2 Kz
-
-
 def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
-                           spectral_width: float | None = None) -> LengthSolution:
-    """Medium length that reaches a suppression target, via the regime rule.
+                           spectral_width: float | None = None) -> tuple[float, float]:
+    """(z, x): the medium length in m that reaches a suppression target, via
+    the regime rule, and its nonlinear coordinate x = |a|^2 Kz.
 
-    Shallow targets (>= -12.1 dB) invert the short-length law
-    exp(-4x + x^2) = F (smaller quadratic root); deeper targets invert the
+    Targets at or above CROSSOVER_DB = -12.1 dB invert the short-length law
+    exp(-4x + x^2) = F through its smaller root, which is real there, since
+    16 + 4 ln F >= 16 + 4 ln 10^-1.21 > 4.8. Deeper targets invert the
     dominant near-optimum term 1/(16 x^2) = F. The length z = 2x / (gamma P)
     does not depend on the spectral width; when one is supplied it is used
     only to guard against targets below the physical floor.
     """
+    if not math.isfinite(target_db):
+        raise ValueError(f"target_db must be finite, got {target_db}")
     if target_db >= 0:
         raise ValueError("target_db must be negative (suppression)")
-    if power <= 0:
-        raise ValueError("power must be positive")
+    _check_positive("power", power)
     if spectral_width is not None:
         floor = fano_floor_physical(wg, BeamSpec(power, spectral_width))
         if target_db <= floor:
@@ -131,14 +134,11 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
     fano = 10.0 ** (target_db / 10.0)
     if target_db >= CROSSOVER_DB:
         # x^2 - 4x - ln(F) = 0, smaller root
-        discriminant = 16.0 + 4.0 * np.log(fano)
-        if discriminant < 0:
-            raise NoRealRoot(f"no real short-length solution for {target_db} dB")
-        x = (4.0 - np.sqrt(discriminant)) / 2.0
+        x = (4.0 - np.sqrt(16.0 + 4.0 * np.log(fano))) / 2.0
     else:
         x = 1.0 / (4.0 * np.sqrt(fano))
     z = 2.0 * x / (gamma(wg) * power)
-    return LengthSolution(float(z), float(x))
+    return float(z), float(x)
 
 
 _PRESET_KEYS = {

@@ -54,27 +54,24 @@ MAX_WIGNER_BYTES = 2 ** 28
 # Rows of the psi*(q+s) psi(q-s) kernel are built in blocks of at most this many bytes.
 BLOCK_BYTES = 2 ** 24
 _RESCALE = 1e150
+# auto_window: the photon-number mass left above its level n_hi, and the
+# margin added to the radius sqrt(n_hi)
+AUTO_QUANTILE = 1e-9
+AUTO_MARGIN = 3.0
 
 
 @dataclass(frozen=True)
 class WignerGrid:
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    resolution: int
+    """W on the grid xs x ys, values[i, j] at xs[i] + i ys[j]."""
+
+    xs: np.ndarray
+    ys: np.ndarray
     values: np.ndarray
     imag_residue: float
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.resolution)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y_range[0], self.y_range[1], self.resolution)
-
     def integral(self) -> float:
-        dx = (self.x_range[1] - self.x_range[0]) / (self.resolution - 1)
-        dy = (self.y_range[1] - self.y_range[0]) / (self.resolution - 1)
+        dx = (self.xs[-1] - self.xs[0]) / (len(self.xs) - 1)
+        dy = (self.ys[-1] - self.ys[0]) / (len(self.ys) - 1)
         return float(self.values.sum() * dx * dy)
 
 
@@ -157,26 +154,26 @@ def wigner(state: FockState, center: complex | None = None,
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if not half_width > 0.0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not (np.isfinite(half_width) and half_width > 0.0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
     if center is None:
         center = complex(field_moment(state, 0, 1))
+    elif not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
     xs = center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)
     values, residue = _wigner_grid(state, xs, ys)
-    return WignerGrid(x_range=(float(xs[0]), float(xs[-1])),
-                      y_range=(float(ys[0]), float(ys[-1])),
-                      resolution=resolution, values=values, imag_residue=residue)
+    return WignerGrid(xs, ys, values, residue)
 
 
-def auto_window(state: FockState, margin: float = 3.0,
-                quantile: float = 1e-9) -> tuple[complex, float]:
+def auto_window(state: FockState) -> tuple[complex, float]:
     """Origin-centered window guaranteed to contain the state's support.
 
     A state with photon content up to n_hi lives within the disk of radius
-    sqrt(n_hi) no matter how far the Kerr phase wraps it around; the returned
-    half-width is sqrt(n_hi) + margin.
+    sqrt(n_hi) no matter how far the Kerr phase wraps it around; n_hi leaves
+    AUTO_QUANTILE of the mass above it, and the returned half-width is
+    sqrt(n_hi) + AUTO_MARGIN.
     """
     cum = np.cumsum(photon_distribution(state))
-    n_hi = int(np.searchsorted(cum, 1.0 - quantile)) + 1
-    return 0j, float(np.sqrt(n_hi) + margin)
+    n_hi = int(np.searchsorted(cum, 1.0 - AUTO_QUANTILE)) + 1
+    return 0j, float(np.sqrt(n_hi) + AUTO_MARGIN)

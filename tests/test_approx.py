@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from kerrshift import (
-    ApproxRegime,
     OutOfValidityRange,
     f1_short,
     f2_near_opt,
@@ -14,7 +13,6 @@ from kerrshift import (
     f_piecewise,
     kz_app,
     kz_opt_approx,
-    validity_curves,
 )
 
 
@@ -122,21 +120,20 @@ def test_f2_minimum_at_kz_opt():
 
 def test_piecewise_regimes_and_ranges():
     alpha = 50.0
-    short, near = validity_curves(alpha)
-    assert short.regime is ApproxRegime.SHORT_LENGTH
-    assert short.valid_kz_range == (0.0, kz_app(2500.0))
-    assert near.valid_kz_range == (kz_app(2500.0), 2.0 * kz_opt_approx(alpha))
-
-    at_zero = f_piecewise(alpha, 0.0)
-    assert at_zero.value == 1.0
-    assert at_zero.curve.regime is ApproxRegime.SHORT_LENGTH
+    assert f_piecewise(alpha, 0.0) == (1.0, "short_length")
 
     boundary = kz_app(2500.0)
-    below = f_piecewise(alpha, boundary)
-    above = f_piecewise(alpha, np.nextafter(boundary, 1.0))
-    assert below.curve.regime is ApproxRegime.SHORT_LENGTH
-    assert above.curve.regime is ApproxRegime.NEAR_OPTIMUM
-    assert abs(db(below.value) - db(above.value)) <= 1.1
+    below, below_regime = f_piecewise(alpha, boundary)
+    above, above_regime = f_piecewise(alpha, np.nextafter(boundary, 1.0))
+    assert below_regime == "short_length"
+    assert above_regime == "near_optimum"
+    assert below == f1_short(2500.0, boundary)
+    assert abs(db(below) - db(above)) <= 1.1
+
+    top = 2.0 * kz_opt_approx(alpha)
+    assert f_piecewise(alpha, top) == (f2_near_opt(2500.0, top), "near_optimum")
+    with pytest.raises(OutOfValidityRange):
+        f_piecewise(alpha, np.nextafter(top, 1.0))
 
 
 def test_piecewise_out_of_range():

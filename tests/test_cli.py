@@ -437,12 +437,25 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["optimize", "10", "--tol-kz", "0"], None, "tol_kz"),
     (["optimize", "10", "--tol-kz", "-1"], None, "tol_kz"),
     (["optimize", "--config", "FILE"], "alpha = 10\ntol_kz = 0\n", "tol_kz"),
+    (["design", "nan", "1e7", "--preset", "si3n4"], None, "power must be finite"),
+    (["design", "0.01", "inf", "--preset", "si3n4"], None, "spectral_width must be finite"),
+    (["design", "0.01", "--preset", "si3n4", "--target-db", "nan"], None,
+     "target_db must be finite"),
+    (["design", "0.01", "--preset", "si3n4", "--target-db=-inf"], None,
+     "target_db must be finite"),
+    (["design", "0.01", "1e7", "--n2", "nan"] + INLINE_WAVEGUIDE, None, "n2 must be finite"),
+    (["wigner", "3", "0.05", "--center", "nan"], None, "center must be finite"),
+    (["wigner", "3", "0.05", "--center", "(1+nanj)"], None, "center must be finite"),
+    (["wigner", "3", "0.05", "--half-width", "inf"], None, "half_width must be finite"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
-        "tol-kz-0", "tol-kz-negative", "config-tol-kz-0"])
+        "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
+        "design-width-inf", "design-target-nan", "design-target-minus-inf",
+        "design-n2-nan", "wigner-center-nan", "wigner-center-nanj", "wigner-half-width-inf"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
-    # each of these once ended in a traceback (exit 1), wrote F = nan (exit 0)
-    # or ran the length search to its iteration cap (exit 3)
+    # each of these once ended in a traceback (exit 1), wrote nan or inf
+    # (exit 0), ran the length search to its iteration cap (exit 3) or
+    # exited 2 without naming the field
     if text is not None:
         path = tmp_path / "input.txt"
         path.write_text(text)

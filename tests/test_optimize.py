@@ -130,7 +130,7 @@ def test_scaling_law_bands(scaling_optima):
 
 def test_nonconvergence_raises():
     with pytest.raises(NonConvergence):
-        optimize_length(10.0, max_iter=1)
+        optimize_length(10.0, rel_tol=0.0)
 
 
 def test_optimum_tie_break_prefers_small_shift():

@@ -51,7 +51,7 @@ def test_default_window_normalization_compact_states():
     for state in (coherent_state(3.0),
                   kerr_evolve(coherent_state(3.0), 0.25 * 0.1103)):
         grid = wigner(state)
-        assert grid.resolution == 201
+        assert grid.values.shape == (201, 201)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
         assert grid.values.max() <= TWO_OVER_PI + 1e-9
 
@@ -68,8 +68,8 @@ def test_pure_state_bound_displaced_kerr():
 def test_marginal_total_mass():
     state = kerr_evolve(coherent_state(3.0), 0.02)
     grid = wigner(state)
-    dy = (grid.y_range[1] - grid.y_range[0]) / (grid.resolution - 1)
-    dx = (grid.x_range[1] - grid.x_range[0]) / (grid.resolution - 1)
+    dy = grid.ys[1] - grid.ys[0]
+    dx = grid.xs[1] - grid.xs[0]
     marginal = grid.values.sum(axis=1) * dy
     assert float(marginal.sum() * dx) == pytest.approx(1.0, abs=1e-3)
 
@@ -197,9 +197,12 @@ def test_auto_window_covers_support():
 
 
 def test_grid_metadata():
-    grid = wigner(coherent_state(1.0), center=0.5 + 0.5j, half_width=2.0,
-                  resolution=51)
-    assert grid.x_range == (-1.5, 2.5)
-    assert grid.y_range == (-1.5, 2.5)
-    assert grid.values.shape == (51, 51)
-    assert grid.xs[0] == -1.5 and grid.xs[-1] == 2.5
+    # the grid holds exactly the points W was evaluated at; a linspace over
+    # (xs[0], xs[-1]) would put -1.7 where W was evaluated at -1.7000000000000002
+    center, half_width = 1.0 + 1.0j, 3.0
+    grid = wigner(coherent_state(1.0), center=center, half_width=half_width,
+                  resolution=21)
+    offsets = np.linspace(-half_width, half_width, 21)
+    assert np.array_equal(grid.xs, center.real + offsets)
+    assert np.array_equal(grid.ys, center.imag + offsets)
+    assert grid.values.shape == (21, 21)
