@@ -43,7 +43,6 @@ from .fock import (
 )
 from .moments import (
     DisplacementSetting,
-    FanoReport,
     fano_displaced,
     fano_values,
     g_factors,

@@ -9,7 +9,11 @@ Every input that has a RunConfig field resolves by one precedence: the flag
 or positional, then the --config file, then the RunConfig default. Which
 command reads which field is listed on RunConfig. The remaining flags (the
 sweep-length kz grid, the wigner window and resolution, the reproduce
-target) have no config key. Each command returns its artifact and its
+target) have no config key. A --config file and a preset file are read by
+the one `key = value` reader, serialize.read_key_values; a bad line in
+either exits 2 naming the file kind, the line and the key. fano and
+photon-dist report the same PhotonStatistics record, from the closed form
+and from the Fock engine. Each command returns its artifact and its
 human-readable lines; main writes both and maps errors to exit codes.
 """
 
@@ -114,9 +118,10 @@ def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        return parse_config(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+        text = Path(path).read_text()
+    except OSError as exc:
         raise CliError(f"config: {exc}") from exc
+    return parse_config(text)
 
 
 def _waveguide(preset: str | None, inline: list) -> WaveguideSpec:
@@ -160,10 +165,10 @@ def cmd_fano(args, config: RunConfig):
                           "beta_re": beta.real, "beta_im": beta.imag, "tau": tau})
     artifact = Artifact(meta, ["mean_photon", "variance", "fano", "mandel_q",
                                "suppression_db"],
-                        [[report.mean_photon, report.variance, report.fano,
+                        [[report.mean, report.variance, report.fano,
                           report.mandel_q, report.suppression_db]])
     return artifact, [
-        f"mean photon     = {report.mean_photon:.6g}",
+        f"mean photon     = {report.mean:.6g}",
         f"variance        = {report.variance:.6g}",
         f"fano            = {report.fano:.6g}",
         f"mandel Q        = {report.mandel_q:.6g}",
@@ -291,7 +296,7 @@ def cmd_photon_dist(args, config: RunConfig):
                         np.column_stack([n, probs, pois]))
     return artifact, [
         f"mean = {stats.mean:.6g}, variance = {stats.variance:.6g}, "
-        f"fano = {stats.fano:.6g} ({10 * np.log10(stats.fano):.6g} dB)",
+        f"fano = {stats.fano:.6g} ({stats.suppression_db:.6g} dB)",
     ]
 
 

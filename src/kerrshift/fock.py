@@ -17,8 +17,8 @@ DISPLACE_DEFECT_TOL.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +34,9 @@ from .errors import (
 MAX_AMPLITUDE = 200.0
 # Hard cap on basis size (n_trunc), comfortably above the MAX_AMPLITUDE need.
 MAX_FOCK_DIM = 60_000
+
+# The largest |alpha| whose square abs_alpha_sq is finite.
+_MAX_ABS_ALPHA = math.sqrt(sys.float_info.max)
 
 NORM_TOL = 1e-12
 # Largest norm defect of a truncated displacement that displace() accepts;
@@ -104,6 +107,9 @@ class KerrScenario:
             raise ValueError(f"kz must be finite and >= 0, got {self.kz}")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        if abs(self.alpha) > _MAX_ABS_ALPHA:
+            raise ValueError(
+                f"alpha must have a finite |alpha|^2, got |alpha| = {abs(self.alpha):g}")
 
     @property
     def abs_alpha_sq(self) -> float:
@@ -385,15 +391,27 @@ def field_moment(state: FockState, k: int, l: int) -> complex:
     return complex(np.sum(np.conj(c[n + d]) * c[n] * factor))
 
 
-class PhotonStatistics(NamedTuple):
+@dataclass(frozen=True)
+class PhotonStatistics:
+    """Photon-number mean, variance and Fano factor F = variance / mean, as
+    both engines report them: photon_statistics() from a Fock state and
+    moments.fano_displaced() from the closed form."""
+
     mean: float
     variance: float
     fano: float
-    mandel_q: float
+
+    @property
+    def mandel_q(self) -> float:
+        return self.fano - 1.0
+
+    @property
+    def suppression_db(self) -> float:
+        return 10.0 * np.log10(self.fano)
 
 
 def photon_statistics(state: FockState) -> PhotonStatistics:
-    """Mean, variance, Fano factor and Mandel Q of the photon number."""
+    """Mean, variance and Fano factor of the photon number of a state."""
     p = photon_distribution(state)
     n = np.arange(len(p), dtype=float)
     mean = float(p @ n)
@@ -402,7 +420,7 @@ def photon_statistics(state: FockState) -> PhotonStatistics:
     if mean <= 0.0:
         raise ZeroMeanPhoton("Fano factor undefined at zero mean photon number")
     fano = variance / mean
-    return PhotonStatistics(mean, variance, fano, fano - 1.0)
+    return PhotonStatistics(mean, variance, fano)
 
 
 def photon_distribution(state: FockState) -> np.ndarray:

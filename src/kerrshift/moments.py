@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .fock import KerrScenario
+from .fock import KerrScenario, PhotonStatistics
 
 
 def _sin_minus_arg(t: float) -> float:
@@ -68,21 +68,6 @@ def shift_amplitude(scenario: KerrScenario, setting: DisplacementSetting) -> com
     return complex(setting.beta * setting.tau * scenario.alpha
                    * np.exp(1j * scenario.kz)
                    * np.exp(2j * scenario.abs_alpha_sq * scenario.kz))
-
-
-@dataclass(frozen=True)
-class FanoReport:
-    mean_photon: float
-    variance: float
-    fano: float
-    mandel_q: float
-    suppression_db: float
-
-    @classmethod
-    def from_fano_mean(cls, fano: float, mean_photon: float) -> "FanoReport":
-        return cls(mean_photon=mean_photon, variance=fano * mean_photon,
-                   fano=fano, mandel_q=fano - 1.0,
-                   suppression_db=10.0 * np.log10(fano))
 
 
 @dataclass(frozen=True)
@@ -143,12 +128,16 @@ def fano_values(scenario: KerrScenario, betas) -> np.ndarray:
     return np.asarray(fano)
 
 
-def fano_displaced(scenario: KerrScenario, setting: DisplacementSetting) -> FanoReport:
-    """Exact Fano factor, mean and variance of the displaced Kerr state."""
+def fano_displaced(scenario: KerrScenario,
+                   setting: DisplacementSetting) -> PhotonStatistics:
+    """Exact photon statistics of the displaced Kerr state from the closed form:
+    the mean is tau^2 |a|^2 times the denominator of F, the variance F times
+    the mean. The Fock engine's photon_statistics() returns the same record."""
     a2 = scenario.abs_alpha_sq
     fano, denom = fano_forms(scenario).evaluate(setting.beta, setting.tau ** 2 * a2)
     mean = setting.tau ** 2 * a2 * float(denom)
     if mean <= 0.0 or float(denom) <= 1e-15:
         raise DegenerateDenominator(
             f"mean photon number {mean} is not positive at beta = {setting.beta}")
-    return FanoReport.from_fano_mean(float(fano), mean)
+    fano = float(fano)
+    return PhotonStatistics(mean, fano * mean, fano)

@@ -52,7 +52,7 @@ class Optimum:
 def _report(alpha: complex, kz: float, beta: complex) -> Optimum:
     rep = fano_displaced(KerrScenario(alpha, kz), DisplacementSetting(beta=beta))
     return Optimum(beta_opt=beta, kz=kz, fano_min=rep.fano,
-                   suppression_db=rep.suppression_db, mean_photon=rep.mean_photon,
+                   suppression_db=rep.suppression_db, mean_photon=rep.mean,
                    beta_magnitude=abs(beta))
 
 
@@ -147,11 +147,8 @@ def optimize_length(alpha: complex, rel_tol: float = 1e-6) -> Optimum:
 
 
 def sweep_length(alpha: complex, kz_values) -> list[Optimum]:
-    """optimize_beta at every kz of a sorted grid, for F(Kz) curves."""
-    kz_values = [float(k) for k in kz_values]
-    if any(k < 0 for k in kz_values) or kz_values != sorted(kz_values):
-        raise ValueError("kz_values must be sorted and non-negative")
-    return [optimize_beta(KerrScenario(alpha, kz)) for kz in kz_values]
+    """optimize_beta at every kz of a grid, in grid order, for F(Kz) curves."""
+    return [optimize_beta(KerrScenario(alpha, float(kz))) for kz in kz_values]
 
 
 def rayleigh_lower_bound(scenario: KerrScenario) -> float:

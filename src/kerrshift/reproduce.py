@@ -8,14 +8,11 @@ writing the artifact for inspection).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import reference
 from .approx import f1_short, f2_near_opt, f_min_approx, f_piecewise, kz_app, kz_opt_approx
-from .fock import KerrScenario
-from .optimize import Optimum, optimize_beta, optimize_length, sweep_length
+from .optimize import optimize_length, sweep_length
 from .reference import round_sig
 from .serialize import Artifact
 from .waveguide import (
@@ -44,11 +41,6 @@ FIG4_POINTS = 50
 FIG5_ALPHAS = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0)
 
 
-@lru_cache(maxsize=None)
-def _length_optimum(alpha: float) -> Optimum:
-    return optimize_length(alpha)
-
-
 def _meta(target: str, config: dict, **results) -> dict:
     """Artifact meta: the inputs that reproduce the run under "config",
     computed values and notes at the top level (the CLI command convention)."""
@@ -64,7 +56,7 @@ def build_table1() -> Artifact:
                "mean_photon", "mean_ref", "mean_rel_err", "suppression_db"]
     rows, failures = [], []
     for alpha, ref in reference.TABLE1.items():
-        opt = _length_optimum(float(alpha))
+        opt = optimize_length(float(alpha))
         computed = {"fano_min": opt.fano_min, "kz_opt": opt.kz,
                     "beta_abs": opt.beta_magnitude, "mean_photon": opt.mean_photon}
         published = {"fano_min": ref.fano_min, "kz_opt": ref.kz_opt,
@@ -157,7 +149,7 @@ def build_fig3() -> Artifact:
             rows.append([alpha, opt.kz, opt.fano_min, opt.suppression_db,
                          opt.beta_opt.real, opt.beta_opt.imag,
                          opt.beta_magnitude, opt.mean_photon, False])
-        best = _length_optimum(alpha)
+        best = optimize_length(alpha)
         rows.append([alpha, best.kz, best.fano_min, best.suppression_db,
                      best.beta_opt.real, best.beta_opt.imag,
                      best.beta_magnitude, best.mean_photon, True])
@@ -171,7 +163,7 @@ def build_fig3() -> Artifact:
 
 def build_fig4() -> Artifact:
     alpha = FIG4_ALPHA
-    kz_opt = _length_optimum(alpha).kz
+    kz_opt = optimize_length(alpha).kz
     grid = np.linspace(0.05 * kz_opt, 2.0 * kz_opt, FIG4_POINTS)
     columns = ["kz", "fano_numeric", "db_numeric", "f1", "f2",
                "f_piecewise", "regime", "db_piecewise", "db_delta"]
@@ -201,7 +193,7 @@ def build_fig5() -> Artifact:
     columns = ["alpha", "kz_opt", "kz_opt_approx", "f_min", "f_min_approx",
                "suppression_db", "kz_to_fano_ratio"]
     rows, failures = [], []
-    optima = [_length_optimum(a) for a in alphas]
+    optima = [optimize_length(a) for a in alphas]
     for alpha, opt in zip(alphas, optima):
         rows.append([alpha, opt.kz, kz_opt_approx(alpha),
                      opt.fano_min, f_min_approx(alpha),

@@ -175,8 +175,8 @@ class RunConfig:
     photon-dist), beta_re and beta_im as beta = beta_re + i beta_im with an
     unset part 0 (fano, photon-dist, wigner), tau (fano), tol_kz (optimize),
     and power, spectral_width, target_db, preset, n2, n0, sigma_eff and
-    wavelength (design). Any other key is rejected. A parsed config
-    round-trips: serialize(parse(text)) == serialize(config).
+    wavelength (design). preset is text and every other key a number.
+    parse_config() reads a config file into it, through read_key_values().
     """
 
     alpha: float | None = None
@@ -194,34 +194,34 @@ class RunConfig:
     wavelength: float | None = None
     tol_kz: float = 1e-6
 
-    def serialize(self) -> str:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            lines.append(f"{f.name} = {fmt_cell(value)}")
-        return "\n".join(lines) + "\n"
 
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_STR_FIELDS = {"preset"}
-
-
-def parse_config(text: str) -> RunConfig:
-    config = RunConfig()
+def read_key_values(text: str, kind: str, parsers: dict) -> dict:
+    """{key: parsers[key](value)} from the `key = value` lines of a config or
+    preset file. '#' starts a comment, blank lines are skipped and a later
+    line overrides an earlier one. A line without '=', a key not in `parsers`
+    or a value its parser refuses raises ValueError naming the file `kind`,
+    the line and the key."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"{kind} line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _STR_FIELDS:
-            setattr(config, key, val)
-        else:
-            setattr(config, key, float(val))
-    return config
+        if key not in parsers:
+            raise ValueError(f"{kind} line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = parsers[key](val)
+        except ValueError:
+            raise ValueError(f"{kind} line {lineno}: {key}: could not parse {val!r} "
+                             "as a number") from None
+    return values
+
+
+_CONFIG_PARSERS = {f.name: str if f.name == "preset" else float for f in fields(RunConfig)}
+
+
+def parse_config(text: str) -> RunConfig:
+    return RunConfig(**read_key_values(text, "config", _CONFIG_PARSERS))

@@ -4,7 +4,9 @@ Conventions: SI units throughout (m, W, Hz). The photon number per mode is set
 by the power within one coherence time, |a|^2 = P tau_coh / (hbar omega), and
 the per-meter Kerr coupling is K = n2 hbar omega^2 / (2 c tau_coh sigma). The
 two are tied to the fiber-optics nonlinear parameter gamma = 2 pi n2 / (lambda
-sigma_eff) through the exact identity 2 |a|^2 K = gamma P.
+sigma_eff) through the exact identity 2 |a|^2 K = gamma P. Finite inputs
+can overflow these products; a result that is not finite raises
+NumericalOverflow naming the quantity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .approx import KZ_APP_COEFF, f_min_approx
-from .errors import TargetBelowFloor
+from .errors import NumericalOverflow, TargetBelowFloor
+from .serialize import read_key_values
 
 SPEED_OF_LIGHT = 299_792_458.0          # m/s
 HBAR = 1.054_571_817e-34                # J s
@@ -32,6 +35,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
     if value <= 0:
         raise ValueError(f"{name} must be positive")
+
+
+def _finite(name: str, value: float) -> float:
+    """A computed quantity, refused by name if it overflowed to inf or nan."""
+    if not math.isfinite(value):
+        raise NumericalOverflow(f"{name} = {value} is not finite at these inputs")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,18 +88,19 @@ class BeamSpec:
 
 def kerr_coupling(wg: WaveguideSpec, beam: BeamSpec) -> float:
     """Kerr coupling K in 1/m: n2 hbar omega^2 / (2 c tau_coh sigma_eff)."""
-    return (wg.n2 * HBAR * wg.omega ** 2
-            / (2.0 * SPEED_OF_LIGHT * beam.coherence_time * wg.sigma_eff))
+    return _finite("kerr_coupling", wg.n2 * HBAR * wg.omega ** 2
+                   / (2.0 * SPEED_OF_LIGHT * beam.coherence_time * wg.sigma_eff))
 
 
 def alpha_from_power(beam: BeamSpec, wg: WaveguideSpec) -> float:
     """Dimensionless amplitude |a| = sqrt(P tau_coh / hbar omega)."""
-    return float(np.sqrt(beam.power * beam.coherence_time / (HBAR * wg.omega)))
+    return _finite("alpha", float(np.sqrt(beam.power * beam.coherence_time
+                                          / (HBAR * wg.omega))))
 
 
 def gamma(wg: WaveguideSpec) -> float:
     """Fiber-optics nonlinear parameter 2 pi n2 / (lambda sigma_eff), in 1/(W m)."""
-    return 2.0 * np.pi * wg.n2 / (wg.wavelength * wg.sigma_eff)
+    return _finite("gamma", 2.0 * np.pi * wg.n2 / (wg.wavelength * wg.sigma_eff))
 
 
 def z_opt_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
@@ -100,13 +111,14 @@ def z_opt_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
     """
     intensity = beam.power / wg.sigma_eff
     photon_number = beam.power * beam.coherence_time / (HBAR * wg.omega)
-    return (wg.wavelength * KZ_APP_COEFF / (2.0 * np.pi)
-            / (wg.n2 * intensity) * photon_number ** (1.0 / 3.0))
+    return _finite("z_opt", wg.wavelength * KZ_APP_COEFF / (2.0 * np.pi)
+                   / (wg.n2 * intensity) * photon_number ** (1.0 / 3.0))
 
 
 def fano_floor_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
     """Minimal reachable Fano factor in dB at these physical parameters."""
-    return float(10.0 * np.log10(f_min_approx(alpha_from_power(beam, wg))))
+    return _finite("fano_floor",
+                   float(10.0 * np.log10(f_min_approx(alpha_from_power(beam, wg)))))
 
 
 def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
@@ -137,8 +149,8 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
         x = (4.0 - np.sqrt(16.0 + 4.0 * np.log(fano))) / 2.0
     else:
         x = 1.0 / (4.0 * np.sqrt(fano))
-    z = 2.0 * x / (gamma(wg) * power)
-    return float(z), float(x)
+    z = 2.0 * float(x) / (gamma(wg) * power)
+    return _finite("z", z), float(x)
 
 
 _PRESET_KEYS = {
@@ -151,22 +163,12 @@ _PRESET_KEYS = {
 
 def parse_preset(text: str) -> WaveguideSpec:
     """Parse the key-value preset format (keys n2_m2_per_W, n0, sigma_eff_m2, lambda_m)."""
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"preset line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _PRESET_KEYS:
-            raise ValueError(f"preset line {lineno}: unknown key {key!r}")
-        values[_PRESET_KEYS[key]] = float(val.strip())
-    missing = {"n2", "n0", "sigma_eff", "wavelength"} - set(values)
+    values = read_key_values(text, "preset", dict.fromkeys(_PRESET_KEYS, float))
+    fields = {_PRESET_KEYS[k]: v for k, v in values.items()}
+    missing = set(_PRESET_KEYS.values()) - set(fields)
     if missing:
         raise ValueError(f"preset missing keys for: {sorted(missing)}")
-    return WaveguideSpec(**values)
+    return WaveguideSpec(**fields)
 
 
 def load_preset(name_or_path: str) -> WaveguideSpec:

@@ -48,8 +48,9 @@ from .fock import FockState, field_moment, photon_distribution
 # Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
 SUPPORT_MARGIN = 10.0
 # Byte limit on the (S x resolution) complex phase matrix e^{2i p_j s_k}, the
-# largest temporary once it passes BLOCK_BYTES. A 401^2 map of the alpha = 30
-# optimum (N = 1343) needs 29 MB of it.
+# largest temporary once it passes BLOCK_BYTES, and on psi over the lattice,
+# which outgrows it when the window is far wider than the state. A 401^2 map
+# of the alpha = 30 optimum (N = 1343) needs 29 MB of phase matrix.
 MAX_WIGNER_BYTES = 2 ** 28
 # Rows of the psi*(q+s) psi(q-s) kernel are built in blocks of at most this many bytes.
 BLOCK_BYTES = 2 ** 24
@@ -102,16 +103,21 @@ def _wigner_grid(state: FockState, xs: np.ndarray, ys: np.ndarray) -> tuple[np.n
     p = np.sqrt(2.0) * ys
     h_max = np.pi / (np.max(np.abs(p)) + radius)
     dq = (q[-1] - q[0]) / (len(q) - 1) if len(q) > 1 else h_max
-    m = int(dq / h_max) + 1
-    h = dq / m
-    k_max = int(np.ceil(radius / h))
+    # sizes in floating point first: a wide or far window makes them inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = np.floor(dq / h_max) + 1.0
+        h = dq / m
+        k_max = np.ceil(radius / h)
+    for what, cells in (("phase matrix", (2.0 * k_max + 1.0) * len(p)),
+                        ("lattice", (len(q) - 1) * m + 2.0 * k_max + 1.0)):
+        if not 16.0 * cells <= MAX_WIGNER_BYTES:
+            raise StateTooLarge(
+                f"n_trunc = {state.n_trunc} at resolution {len(xs)}x{len(ys)} over "
+                f"x in [{xs[0]:.6g}, {xs[-1]:.6g}], y in [{ys[0]:.6g}, {ys[-1]:.6g}]: "
+                f"its {what} needs {16.0 * cells:.4g} B, above the limit "
+                f"MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
+    m, k_max = int(m), int(k_max)
     ks = np.arange(-k_max, k_max + 1)
-    phase_bytes = 16 * len(ks) * len(p)
-    if phase_bytes > MAX_WIGNER_BYTES:
-        raise StateTooLarge(
-            f"n_trunc = {state.n_trunc} at resolution {len(xs)}x{len(ys)} needs a "
-            f"{phase_bytes} B phase matrix, above the limit MAX_WIGNER_BYTES = "
-            f"{MAX_WIGNER_BYTES} B")
 
     lattice = q[0] + h * np.arange(-k_max, (len(q) - 1) * m + k_max + 1)
     inside = np.abs(lattice) <= radius

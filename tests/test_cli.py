@@ -51,7 +51,7 @@ def test_fano_known_value(tmp_path):
                             DisplacementSetting(beta=-0.019 - 0.122j))
     row = dict(zip(payload["data"]["columns"], payload["data"]["rows"][0]))
     assert row["fano"] == pytest.approx(report.fano, rel=1e-15)
-    assert row["mean_photon"] == pytest.approx(report.mean_photon, rel=1e-15)
+    assert row["mean_photon"] == pytest.approx(report.mean, rel=1e-15)
 
 
 def test_fano_trivial_cases(capsys):
@@ -175,7 +175,7 @@ def test_photon_dist_at_alpha_100_past_the_old_seed_underflow(tmp_path):
     report = fano_displaced(KerrScenario(100.0, 0.0010268),
                             DisplacementSetting(beta=-0.00113 - 0.02482j))
     assert meta["fano"] == pytest.approx(report.fano, rel=1e-8)
-    assert meta["mean"] == pytest.approx(report.mean_photon, rel=1e-12)
+    assert meta["mean"] == pytest.approx(report.mean, rel=1e-12)
 
 
 def test_photon_dist_of_the_vacuum_is_a_named_error(capsys):
@@ -334,13 +334,10 @@ def test_config_file_supplies_inputs(tmp_path):
     assert main(["fano", "--config", str(cfg)]) == 0
 
 
-def test_config_round_trip():
-    text = "alpha = 7\nkz = 0.25\ntol_kz = 1e-05\npreset = si3n4\n"
+def test_config_parses_each_key_to_its_type():
+    text = "alpha = 7  # photons\n\nkz = 0.25\ntol_kz = 1e-05\npreset = si3n4\nkz = 0.5\n"
     config = parse_config(text)
-    assert config.alpha == 7.0 and config.tol_kz == 1e-5
-    again = parse_config(config.serialize())
-    assert again == config
-    assert again.serialize() == config.serialize()
+    assert config == RunConfig(alpha=7.0, kz=0.5, tol_kz=1e-5, preset="si3n4")
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -447,15 +444,39 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["wigner", "3", "0.05", "--center", "nan"], None, "center must be finite"),
     (["wigner", "3", "0.05", "--center", "(1+nanj)"], None, "center must be finite"),
     (["wigner", "3", "0.05", "--half-width", "inf"], None, "half_width must be finite"),
+    (["fano", "1e200", "0.001", "0.1"], None, "alpha must have a finite |alpha|^2"),
+    (["optimize", "1e200"], None, "alpha must have a finite |alpha|^2"),
+    (["sweep-length", "1e200", "--kz-values", "0.01"], None,
+     "alpha must have a finite |alpha|^2"),
+    (["design", "1e300", "1e7", "--preset", "si3n4"], None, "alpha = inf is not finite"),
+    (["design", "0.01", "1e-300", "--preset", "si3n4"], None, "alpha = inf is not finite"),
+    (["design", "1e-320", "--target-db", "-5", "--preset", "si3n4"], None,
+     "z = inf is not finite"),
+    (["design", "0.01", "1e9", "--n2", "1e300"] + INLINE_WAVEGUIDE, None,
+     "kerr_coupling = inf is not finite"),
+    (["wigner", "3", "0.05", "--resolution", "3", "--half-width", "1e300"], None,
+     "resolution 3x3 over x in [-1e+300, 1e+300]"),
+    (["wigner", "3", "0.05", "--resolution", "3", "--half-width", "1e200"], None,
+     "resolution 3x3 over x in [-1e+200, 1e+200]"),
+    (["wigner", "3", "0.05", "--resolution", "3", "--center", "1e300+0j",
+      "--half-width", "1"], None, "resolution 3x3 over x in [1e+300, 1e+300], y in [-1, 1]"),
+    (["design", "0.1", "1e8", "--preset", "FILE"],
+     "n0 = 2.0\nn2_m2_per_W = x\n", "preset line 2: n2_m2_per_W: could not parse 'x'"),
+    (["fano", "--config", "FILE"], "alpha = 3\n# shift\nkz = x\n",
+     "config line 3: kz: could not parse 'x'"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
         "design-width-inf", "design-target-nan", "design-target-minus-inf",
-        "design-n2-nan", "wigner-center-nan", "wigner-center-nanj", "wigner-half-width-inf"])
+        "design-n2-nan", "wigner-center-nan", "wigner-center-nanj", "wigner-half-width-inf",
+        "fano-alpha-1e200", "optimize-alpha-1e200", "sweep-alpha-1e200",
+        "design-alpha-overflow", "design-width-underflow", "design-z-overflow",
+        "design-kerr-coupling-overflow", "wigner-half-width-1e300",
+        "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or
-    # exited 2 without naming the field
+    # exited 2 without naming the field, the line or the key
     if text is not None:
         path = tmp_path / "input.txt"
         path.write_text(text)

@@ -102,6 +102,14 @@ def test_coherent_validation():
         coherent_state(201.0)
 
 
+def test_scenario_refuses_an_alpha_whose_square_overflows():
+    # |alpha|^2 is taken as abs(alpha) ** 2, which overflows past sqrt(max double)
+    largest = np.sqrt(np.finfo(float).max)
+    assert np.isfinite(KerrScenario(complex(0.0, largest), 0.1).abs_alpha_sq)
+    with pytest.raises(ValueError, match="alpha must have a finite"):
+        KerrScenario(np.nextafter(largest, np.inf), 0.1)
+
+
 def test_kerr_identity_at_zero():
     state = coherent_state(2.0)
     out = kerr_evolve(state, 0.0)

@@ -70,10 +70,16 @@ def test_sweep_zero_gives_unity():
 
 
 def test_sweep_validation():
-    with pytest.raises(ValueError):
-        sweep_length(4.0, [0.2, 0.1])
-    with pytest.raises(ValueError):
-        sweep_length(4.0, [-0.1, 0.2])
+    with pytest.raises(ValueError, match="kz must be finite and >= 0"):
+        sweep_length(4.0, [0.2, -0.1])
+
+
+def test_sweep_unsorted_grid_keeps_input_order():
+    grid = [0.03, 0.0, 0.01, 0.02]
+    optima = sweep_length(10.0, grid)
+    by_kz = dict(zip(sorted(grid), sweep_length(10.0, sorted(grid))))
+    assert [o.kz for o in optima] == grid
+    assert optima == [by_kz[kz] for kz in grid]
 
 
 def test_sweep_through_crossover_alpha50():

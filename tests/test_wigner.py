@@ -1,5 +1,7 @@
 """Wigner maps: closed forms, parity formula, normalization, bound, symmetries."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,9 @@ from kerrshift import (
     wigner_at,
 )
 from kerrshift.wigner import MAX_WIGNER_BYTES
+
+# the package's name `wigner` is the function; the module is looked up by path
+wigner_module = importlib.import_module("kerrshift.wigner")
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -97,6 +102,14 @@ def test_wigner_rejects_large_states():
     assert "n_trunc = 2020" in message
     assert "3001x3001" in message
     assert str(MAX_WIGNER_BYTES) in message
+
+
+def test_wigner_bounds_the_lattice(monkeypatch):
+    # a window far wider than the state at 3 x 3: the phase matrix (87 kB)
+    # fits the limit, the psi lattice it steps over (257 kB) does not
+    monkeypatch.setattr(wigner_module, "MAX_WIGNER_BYTES", 2 ** 17)
+    with pytest.raises(StateTooLarge, match="its lattice needs"):
+        wigner(coherent_state(1.0), center=0j, half_width=100.0, resolution=3)
 
 
 def parity_wigner(state, w):
