@@ -170,26 +170,20 @@ def test_parse_preset_errors():
         parse_preset("n2_m2_per_W = 1e-19\n")  # incomplete
     with pytest.raises(ValueError):
         parse_preset("bogus_key = 1\n")
+    with pytest.raises(ValueError, match="preset line 3: lambda_m: could not parse '1.55um'"):
+        parse_preset("n2_m2_per_W = 1e-19\n# geometry\nlambda_m = 1.55um\n")
     with pytest.raises(FileNotFoundError):
         load_preset("unobtainium")
 
 
-def test_parse_preset_names_line_and_key_of_a_bad_value():
-    with pytest.raises(ValueError, match="preset line 3: lambda_m: could not parse '1.55um'"):
-        parse_preset("n2_m2_per_W = 1e-19\n# geometry\nlambda_m = 1.55um\n")
-
-
 def test_overflowing_results_are_named():
-    # finite inputs whose results overflow: refused, not returned as inf or nan
-    with pytest.raises(NumericalOverflow, match="alpha = inf"):
-        alpha_from_power(BeamSpec(power=1e300, spectral_width=1e7), SI3N4)
-    with pytest.raises(NumericalOverflow, match="z = inf"):
-        length_for_suppression(-5.0, 1e-320, SI3N4)
-    wide = WaveguideSpec(n2=1e300, n0=2.0, sigma_eff=1e-13, wavelength=1.55e-6)
+    # finite inputs whose results overflow: refused, not returned as inf
+    # (the design command's cases are in test_cli)
+    strong = WaveguideSpec(n2=1e300, n0=2.0, sigma_eff=1e-13, wavelength=1.55e-6)
     with pytest.raises(NumericalOverflow, match="gamma = inf"):
-        gamma(wide)
-    with pytest.raises(NumericalOverflow, match="kerr_coupling = inf"):
-        kerr_coupling(wide, BeamSpec(power=1e-2, spectral_width=1e9))
+        gamma(strong)
+    with pytest.raises(NumericalOverflow, match="z_opt = inf"):
+        z_opt_physical(SI3N4, BeamSpec(power=1e-2, spectral_width=1e-300))
 
 
 def test_load_preset_from_path(tmp_path):
