@@ -18,6 +18,10 @@ KZ_APP_COEFF = (np.sqrt(3.0) / 2.0) ** (1.0 / 3.0)
 KZ_OPT_COEFF = 3.0 ** (1.0 / 6.0) / 2.0 ** (4.0 / 3.0)
 # 3^(2/3) / 2^(7/3) ~ 0.413: minimal-Fano coefficient (F2 at its argmin)
 F_MIN_COEFF = 3.0 ** (2.0 / 3.0) / 2.0 ** (7.0 / 3.0)
+# The smallest |a| at which the large-|a| laws for the optimal length and the
+# minimal Fano factor are used: at |a| = 2 f_min_approx gives 0.164 against the
+# exact optimum 0.192, and below it the laws run away (F above 1 at |a| < 0.5).
+MIN_ALPHA = 2.0
 
 
 def f1_short(alpha_sq: float, kz: float) -> float:

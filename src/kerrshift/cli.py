@@ -5,9 +5,10 @@ non-convergence, 4 reproduction tolerance miss (artifact still written).
 Artifacts are deterministic for fixed inputs: no timestamps, fixed key order,
 17 significant digits.
 
-Every input that has a RunConfig field resolves by one precedence: the flag
-or positional, then the --config file, then the RunConfig default. Which
-command reads which field is listed on RunConfig. The remaining flags (the
+Every input in the INPUTS table has one parser, which reads its flag or
+positional and its --config key alike, and resolves by one precedence: the
+flag or positional, then the --config file, then its INPUTS default. Which
+command reads which input is listed at INPUTS. The remaining flags (the
 sweep-length kz grid, the wigner window and resolution, the reproduce
 target) have no config key. A --config file and a preset file are read by
 the one `key = value` reader, serialize.read_key_values; a bad line in
@@ -38,9 +39,9 @@ from .fock import (
     photon_statistics,
 )
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
-from .optimize import optimize_beta, optimize_length, sweep_length
+from .optimize import LENGTH_REL_TOL, optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
-from .serialize import Artifact, RunConfig, parse_config, to_json_text
+from .serialize import Artifact, read_key_values, to_json_text
 from .waveguide import (
     BeamSpec,
     WaveguideSpec,
@@ -59,69 +60,64 @@ class CliError(ValueError):
     """Validation failure; message names the offending field."""
 
 
-def _parse_complex(field: str, value) -> complex:
-    # a config file gives a real number; a flag gives text in the 1+2j,
-    # (1+2j) or re,im form. Wrap negative values in parentheses so the shell
-    # parser does not read them as options
-    if not isinstance(value, str):
-        return complex(value)
-    inner = value.strip()
+def _complex(text: str) -> complex:
+    """A complex number in the 1+2j, (1+2j) or re,im form. Wrap a negative
+    value in parentheses so the shell parser does not read it as an option."""
+    inner = text.strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
+    if "," in inner:
+        re_part, im_part = inner.split(",", 1)
+        return complex(float(re_part), float(im_part))
+    return complex(inner.replace(" ", ""))
+
+
+def _parse(field: str, text: str, parse=float):
     try:
-        if "," in inner:
-            re_part, im_part = inner.split(",", 1)
-            return complex(float(re_part), float(im_part))
-        return complex(inner.replace(" ", ""))
+        return parse(text)
     except ValueError as exc:
-        raise CliError(f"{field}: could not parse {value!r} as a complex number") from exc
+        raise CliError(f"{field}: could not parse {text!r} as a number") from exc
 
 
-def _parse_float(field: str, value) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise CliError(f"{field}: could not parse {value!r} as a number") from exc
+# Every input that has a --config key: (parser, default). The parser reads
+# the flag or positional and the config value alike. Readers: alpha (fano,
+# optimize, sweep-length, wigner, photon-dist), kz (fano, optimize, wigner,
+# photon-dist), beta (fano, wigner, photon-dist), tau (fano), tol_kz
+# (optimize), and power, spectral_width, target_db, preset, n2, n0,
+# sigma_eff and wavelength (design).
+INPUTS = {
+    "alpha": (_complex, None), "kz": (float, None), "beta": (_complex, None),
+    "tau": (float, DisplacementSetting.tau), "tol_kz": (float, LENGTH_REL_TOL),
+    "power": (float, None), "spectral_width": (float, None), "target_db": (float, None),
+    "preset": (str, None), "n2": (float, None), "n0": (float, None),
+    "sigma_eff": (float, None), "wavelength": (float, None),
+}
 
 
-def _from_config(config: RunConfig, field: str):
-    """A field's config value; beta is beta_re + i beta_im, an unset part 0."""
-    if field != "beta":
-        return getattr(config, field)
-    re_part, im_part = config.beta_re, config.beta_im
-    if re_part is None and im_part is None:
-        return None
-    return complex(0.0 if re_part is None else re_part,
-                   0.0 if im_part is None else im_part)
-
-
-def _inputs(args, config: RunConfig, *required: str, optional=()) -> list:
+def _inputs(args, config: dict, *required: str, optional=()) -> list:
     """The named inputs in order, each from its flag or positional, else the
-    config file, else the RunConfig default; a required one may not be None."""
+    config file, else its INPUTS default; a required one may not be None."""
     values = []
     for field in required + tuple(optional):
-        value = getattr(args, field)
-        if value is None:
-            value = _from_config(config, field)
-        if value is None:
-            if field in required:
-                raise CliError(f"{field}: required (flag or config file)")
-        elif field in ("alpha", "beta"):
-            value = _parse_complex(field, value)
-        elif field != "preset":
-            value = _parse_float(field, value)
+        parse, default = INPUTS[field]
+        text = getattr(args, field)
+        value = config.get(field, default) if text is None else _parse(field, text, parse)
+        if value is None and field in required:
+            raise CliError(f"{field}: required (flag or config file)")
         values.append(value)
     return values
 
 
-def _load_config(path: str | None) -> RunConfig:
+def _load_config(path: str | None) -> dict:
+    """The inputs a --config file sets, each read by its INPUTS parser."""
     if path is None:
-        return RunConfig()
+        return {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"config: {exc}") from exc
-    return parse_config(text)
+    return read_key_values(text, "config",
+                           {name: parse for name, (parse, _) in INPUTS.items()})
 
 
 def _waveguide(preset: str | None, inline: list) -> WaveguideSpec:
@@ -156,7 +152,7 @@ def _meta(command: str, config: dict, **results) -> dict:
     return {"command": command, "version": __version__, "config": config, **results}
 
 
-def cmd_fano(args, config: RunConfig):
+def cmd_fano(args, config: dict):
     alpha, kz, beta, tau = _inputs(args, config, "alpha", "kz", "beta",
                                    optional=("tau",))
     report = fano_displaced(KerrScenario(alpha, kz),
@@ -185,7 +181,7 @@ _OPTIMUM_COLUMNS = ["kz", "beta_re", "beta_im", "beta_abs", "fano_min",
                     "suppression_db", "mean_photon"]
 
 
-def cmd_optimize(args, config: RunConfig):
+def cmd_optimize(args, config: dict):
     alpha, kz, tol_kz = _inputs(args, config, "alpha", optional=("kz", "tol_kz"))
     if not (np.isfinite(tol_kz) and tol_kz > 0):
         raise CliError(f"tol_kz: must be finite and positive, got {tol_kz!r}")
@@ -209,7 +205,7 @@ def cmd_optimize(args, config: RunConfig):
 def _kz_grid(args) -> list[float]:
     """The kz values of --kz-values, or of the --kz-min/--kz-max grid."""
     if args.kz_values is not None:
-        kz_values = [_parse_float("kz-values", v)
+        kz_values = [_parse("kz-values", v)
                      for v in args.kz_values.split(",") if v.strip()]
         if not kz_values:
             raise CliError(f"kz-values: no value in {args.kz_values!r}")
@@ -226,7 +222,7 @@ def _kz_grid(args) -> list[float]:
     return list(np.geomspace(args.kz_min, args.kz_max, args.kz_points))
 
 
-def cmd_sweep_length(args, config: RunConfig):
+def cmd_sweep_length(args, config: dict):
     (alpha,) = _inputs(args, config, "alpha")
     kz_values = _kz_grid(args)
     optima = sweep_length(alpha, kz_values)
@@ -250,16 +246,16 @@ def _displaced_state(scenario: KerrScenario, beta: complex):
     return state, shift
 
 
-def cmd_wigner(args, config: RunConfig):
+def cmd_wigner(args, config: dict):
     alpha, kz, beta = _inputs(args, config, "alpha", "kz", optional=("beta",))
     beta = 0j if beta is None else beta
     state, shift = _displaced_state(KerrScenario(alpha, kz), beta)
     if "auto" in (args.center, args.half_width):
         center, half_width = auto_window(state)
     if args.center != "auto":
-        center = _parse_complex("center", args.center)
+        center = _parse("center", args.center, _complex)
     if args.half_width != "auto":
-        half_width = _parse_float("half_width", args.half_width)
+        half_width = _parse("half_width", args.half_width)
     grid = wigner(state, center=center, half_width=half_width, resolution=args.resolution)
 
     integral, w_max = grid.integral(), float(grid.values.max())
@@ -281,7 +277,7 @@ def cmd_wigner(args, config: RunConfig):
     return Artifact(meta, ["x", "y", "w"], rows), human
 
 
-def cmd_photon_dist(args, config: RunConfig):
+def cmd_photon_dist(args, config: dict):
     alpha, kz, beta = _inputs(args, config, "alpha", "kz", "beta")
     state, _ = _displaced_state(KerrScenario(alpha, kz), beta)
     probs = photon_distribution(state)
@@ -300,7 +296,7 @@ def cmd_photon_dist(args, config: RunConfig):
     ]
 
 
-def cmd_design(args, config: RunConfig):
+def cmd_design(args, config: dict):
     power, spectral_width, target_db, preset, *inline = _inputs(
         args, config, "power", optional=("spectral_width", "target_db", "preset",
                                          "n2", "n0", "sigma_eff", "wavelength"))
@@ -336,7 +332,7 @@ def cmd_design(args, config: RunConfig):
     ]
 
 
-def cmd_reproduce(args, config: RunConfig):
+def cmd_reproduce(args, config: dict):
     artifact = build(args.target)
     human = [f"target {args.target}: {len(artifact.rows)} rows"]
     if artifact.failures:

@@ -122,21 +122,26 @@ def _normalized(amplitudes: np.ndarray, tail_mass: float) -> FockState:
     return FockState(amplitudes, len(amplitudes) - 1, float(tail_mass))
 
 
+def _levels(r: float) -> int:
+    """ceil(r^2 + 10 r + 20): the top level of a coherent state's basis at
+    amplitude r, ten standard deviations and 20 levels above the mean."""
+    return int(np.ceil(r * r + 10.0 * r + 20.0))
+
+
 def coherent_state(alpha: complex) -> FockState:
     """Coherent state |alpha>, c_n = e^{-|a|^2/2} a^n / sqrt(n!).
 
     Amplitudes are computed in log domain (log-gamma) so that large |alpha|
     does not underflow term by term. The basis ends at
-    n_trunc = ceil(|a|^2 + 10|a| + 20), ten standard deviations and 20 levels
-    above the mean. There the Poisson tail P(n > n_trunc) is at most 6.2e-24
-    for every 0 < |a| <= MAX_AMPLITUDE, largest at |a| = 200; that tail,
-    summed term by term in log domain, is reported as tail_mass.
+    n_trunc = _levels(|a|). There the Poisson tail P(n > n_trunc) is at most
+    6.2e-24 for every 0 < |a| <= MAX_AMPLITUDE, largest at |a| = 200; that
+    tail, summed term by term in log domain, is reported as tail_mass.
     """
     a = abs(alpha)
     if a > MAX_AMPLITUDE:
         raise AmplitudeTooLarge(
             f"|alpha| = {a} exceeds the Fock engine cap {MAX_AMPLITUDE}")
-    n_trunc = int(np.ceil(a * a + 10.0 * a + 20.0))
+    n_trunc = _levels(a)
     n = np.arange(n_trunc + 1)
     if a == 0.0:
         amps = np.zeros(n_trunc + 1, dtype=complex)
@@ -304,8 +309,8 @@ def displace(state: FockState, delta: complex) -> FockState:
 
     The target basis is sized from the state's support grown by |delta|:
     with displaced amplitude radius r = sqrt(<n>) + |delta| it reaches
-    n_max = max(n_trunc + ceil(10 (|delta| + 1)), ceil(r^2 + 10 r + 20)),
-    the coherent-state rule at that radius.
+    n_max = max(n_trunc + ceil(10 (|delta| + 1)), _levels(r)), the
+    coherent-state rule at that radius.
 
     D is applied matrix-free in O(n_max) memory; no (n_max + 1)^2 array is
     formed. The phase u = delta/|delta| is factored out, c~_n = u^-n c_n and
@@ -331,8 +336,7 @@ def displace(state: FockState, delta: complex) -> FockState:
         return state
     mean = float(photon_distribution(state) @ np.arange(state.n_trunc + 1))
     r = np.sqrt(mean) + abs(delta)
-    n_max = max(state.n_trunc + int(np.ceil(10.0 * (abs(delta) + 1.0))),
-                int(np.ceil(r * r + 10.0 * r + 20.0)))
+    n_max = max(state.n_trunc + int(np.ceil(10.0 * (abs(delta) + 1.0))), _levels(r))
     if n_max + 1 > MAX_FOCK_DIM:
         raise TruncationUnachievable(
             f"displacement needs {n_max + 1} levels, cap is {MAX_FOCK_DIM}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import kz_opt_approx
+from .approx import MIN_ALPHA, kz_opt_approx
 from .errors import NonConvergence, UnboundedOptimum
 from .fock import KerrScenario
 from .moments import DisplacementSetting, fano_displaced, fano_forms
@@ -37,6 +37,8 @@ from .moments import DisplacementSetting, fano_displaced, fano_forms
 GAIN_TOL = 1e-12
 # Iteration cap of the golden-section length search; NonConvergence past it.
 MAX_ITER = 200
+# Default relative kz tolerance of the length search (the CLI's tol_kz default).
+LENGTH_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,15 @@ def _golden_section(func, lo: float, hi: float, rel_tol: float) -> float:
     raise NonConvergence(f"golden section exceeded {MAX_ITER} iterations")
 
 
-def optimize_length(alpha: complex, rel_tol: float = 1e-6) -> Optimum:
+def optimize_length(alpha: complex, rel_tol: float = LENGTH_REL_TOL) -> Optimum:
     """Minimize over the medium length: kz -> the pencil minimum at (alpha, kz).
 
     Golden-section search on [0.2, 2.5] times the analytic length estimate,
     to a relative kz tolerance of rel_tol within MAX_ITER iterations; the
     shift is then solved at the best length.
     """
-    if abs(alpha) < 2.0:
-        raise ValueError("optimize_length requires |alpha| >= 2")
+    if abs(alpha) < MIN_ALPHA:
+        raise ValueError(f"optimize_length requires |alpha| >= {MIN_ALPHA:g}")
     kz_scale = kz_opt_approx(abs(alpha))
     kz_best = _golden_section(lambda kz: _pencil(KerrScenario(alpha, kz))[0],
                               0.2 * kz_scale, 2.5 * kz_scale, rel_tol)

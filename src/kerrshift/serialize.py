@@ -1,4 +1,4 @@
-"""Deterministic artifact and config serialization.
+"""Deterministic artifact serialization, and the `key = value` file reader.
 
 Artifacts are byte-stable: floats are written with 17 significant digits,
 key order is fixed, and no timestamps are embedded. CSV artifacts carry the
@@ -15,7 +15,7 @@ text for every double (-0, inf and nan included); integral values below
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,36 +165,6 @@ class Artifact:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-@dataclass
-class RunConfig:
-    """Flat run configuration: the keys a CLI --config file may set.
-
-    A command takes each input from its flag or positional, then from the
-    config file, then from the default here. Readers: alpha (fano, optimize,
-    sweep-length, wigner, photon-dist), kz (fano, optimize, wigner,
-    photon-dist), beta_re and beta_im as beta = beta_re + i beta_im with an
-    unset part 0 (fano, photon-dist, wigner), tau (fano), tol_kz (optimize),
-    and power, spectral_width, target_db, preset, n2, n0, sigma_eff and
-    wavelength (design). preset is text and every other key a number.
-    parse_config() reads a config file into it, through read_key_values().
-    """
-
-    alpha: float | None = None
-    kz: float | None = None
-    beta_re: float | None = None
-    beta_im: float | None = None
-    tau: float = 1.0
-    power: float | None = None
-    spectral_width: float | None = None
-    target_db: float | None = None
-    preset: str | None = None
-    n2: float | None = None
-    n0: float | None = None
-    sigma_eff: float | None = None
-    wavelength: float | None = None
-    tol_kz: float = 1e-6
-
-
 def read_key_values(text: str, kind: str, parsers: dict) -> dict:
     """{key: parsers[key](value)} from the `key = value` lines of a config or
     preset file. '#' starts a comment, blank lines are skipped and a later
@@ -219,9 +189,3 @@ def read_key_values(text: str, kind: str, parsers: dict) -> dict:
                              "as a number") from None
     return values
 
-
-_CONFIG_PARSERS = {f.name: str if f.name == "preset" else float for f in fields(RunConfig)}
-
-
-def parse_config(text: str) -> RunConfig:
-    return RunConfig(**read_key_values(text, "config", _CONFIG_PARSERS))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import KZ_APP_COEFF, f_min_approx
+from .approx import KZ_APP_COEFF, MIN_ALPHA, f_min_approx
 from .errors import NumericalOverflow, TargetBelowFloor
 from .serialize import read_key_values
 
@@ -92,10 +92,21 @@ def kerr_coupling(wg: WaveguideSpec, beam: BeamSpec) -> float:
                    / (2.0 * SPEED_OF_LIGHT * beam.coherence_time * wg.sigma_eff))
 
 
+def _photon_number(beam: BeamSpec, wg: WaveguideSpec) -> float:
+    """|a|^2 = P tau_coh / (hbar omega), the photons in one coherence time."""
+    return beam.power * beam.coherence_time / (HBAR * wg.omega)
+
+
+def _law_range(alpha: float) -> None:
+    """Refuse |a| < MIN_ALPHA: z_opt and the floor are large-|a| laws."""
+    if alpha < MIN_ALPHA:
+        raise ValueError(f"alpha = {alpha:.6g} is below {MIN_ALPHA:g}, where the large-"
+                         "|alpha| laws for z_opt and the Fano floor stop holding")
+
+
 def alpha_from_power(beam: BeamSpec, wg: WaveguideSpec) -> float:
     """Dimensionless amplitude |a| = sqrt(P tau_coh / hbar omega)."""
-    return _finite("alpha", float(np.sqrt(beam.power * beam.coherence_time
-                                          / (HBAR * wg.omega))))
+    return _finite("alpha", float(np.sqrt(_photon_number(beam, wg))))
 
 
 def gamma(wg: WaveguideSpec) -> float:
@@ -107,18 +118,24 @@ def z_opt_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
     """Optimal medium length in meters.
 
     z_opt = lambda * (sqrt(3)/2)^(1/3) / (2 pi n2 I) * (P tau_coh / hbar omega)^(1/3)
-    with intensity I = P / sigma_eff.
+    with intensity I = P / sigma_eff. Refused for |a| < MIN_ALPHA.
     """
     intensity = beam.power / wg.sigma_eff
-    photon_number = beam.power * beam.coherence_time / (HBAR * wg.omega)
-    return _finite("z_opt", wg.wavelength * KZ_APP_COEFF / (2.0 * np.pi)
-                   / (wg.n2 * intensity) * photon_number ** (1.0 / 3.0))
+    photon_number = _photon_number(beam, wg)
+    _law_range(np.sqrt(photon_number))
+    # numpy arithmetic (KZ_APP_COEFF): _finite names an n2 I that underflowed to 0
+    with np.errstate(all="ignore"):
+        z_opt = (wg.wavelength * KZ_APP_COEFF / (2.0 * np.pi)
+                 / (wg.n2 * intensity) * photon_number ** (1.0 / 3.0))
+    return _finite("z_opt", z_opt)
 
 
 def fano_floor_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
-    """Minimal reachable Fano factor in dB at these physical parameters."""
-    return _finite("fano_floor",
-                   float(10.0 * np.log10(f_min_approx(alpha_from_power(beam, wg)))))
+    """Minimal reachable Fano factor in dB at these physical parameters.
+    Refused for |a| < MIN_ALPHA."""
+    alpha = alpha_from_power(beam, wg)
+    _law_range(alpha)
+    return _finite("fano_floor", float(10.0 * np.log10(f_min_approx(alpha))))
 
 
 def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
@@ -131,7 +148,8 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
     16 + 4 ln F >= 16 + 4 ln 10^-1.21 > 4.8. Deeper targets invert the
     dominant near-optimum term 1/(16 x^2) = F. The length z = 2x / (gamma P)
     does not depend on the spectral width; when one is supplied it is used
-    only to guard against targets below the physical floor.
+    only to guard against targets below the physical floor, whose law
+    refuses |a| < MIN_ALPHA.
     """
     if not math.isfinite(target_db):
         raise ValueError(f"target_db must be finite, got {target_db}")

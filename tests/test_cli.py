@@ -4,7 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
-from dataclasses import fields
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from kerrshift import (
 import kerrshift.cli as cli
 from kerrshift.cli import build_parser, main
 from kerrshift.fock import log_factorial
-from kerrshift.serialize import Artifact, RunConfig, parse_config, to_json_text
+from kerrshift.serialize import Artifact, to_json_text
 
 
 def run(args, tmp_path=None, out_name=None):
@@ -330,14 +330,18 @@ def test_embedded_config_reproduces_artifact(tmp_path):
 
 def test_config_file_supplies_inputs(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 7\nkz = 0.0\nbeta_re = 0.3\nbeta_im = 0.1\n")
+    cfg.write_text("alpha = 7\nkz = 0.0\nbeta = 0.3+0.1j\n")
     assert main(["fano", "--config", str(cfg)]) == 0
 
 
-def test_config_parses_each_key_to_its_type():
-    text = "alpha = 7  # photons\n\nkz = 0.25\ntol_kz = 1e-05\npreset = si3n4\nkz = 0.5\n"
-    config = parse_config(text)
-    assert config == RunConfig(alpha=7.0, kz=0.5, tol_kz=1e-5, preset="si3n4")
+def test_config_parses_each_key_to_its_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 7  # photons\n\nkz = 0.25\ntol_kz = 1e-05\npreset = si3n4\n"
+                   "kz = 0.5\nbeta = (0.1-0.2j)\n")
+    config = cli._load_config(str(cfg))
+    assert config == {"alpha": 7 + 0j, "kz": 0.5, "tol_kz": 1e-5, "preset": "si3n4",
+                      "beta": 0.1 - 0.2j}
+    assert [type(config[k]) for k in ("alpha", "kz", "preset")] == [complex, float, str]
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -349,16 +353,17 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 # (flag form, the same inputs as a config file, the flags that have no config
-# key): every input that has a RunConfig field comes from the config file alone
+# key): every input in cli.INPUTS comes from the config file alone
 CONFIG_CASES = [
     (["fano", "4", "0.01", "0.05+0.02j", "--tau", "0.7"],
-     "alpha = 4\nkz = 0.01\nbeta_re = 0.05\nbeta_im = 0.02\ntau = 0.7\n", []),
+     "alpha = 4\nkz = 0.01\nbeta = 0.05+0.02j\ntau = 0.7\n", []),
     (["optimize", "10", "--kz", "0.0218", "--tol-kz", "1e-05"],
      "alpha = 10\nkz = 0.0218\ntol_kz = 1e-05\n", []),
+    (["optimize", "(3+4j)", "--tol-kz", "1e-5"], "alpha = 3+4j\ntol_kz = 1e-5\n", []),
     (["wigner", "3", "0.05", "--beta", "0.2-0.1j", "--resolution", "21"],
-     "alpha = 3\nkz = 0.05\nbeta_re = 0.2\nbeta_im = -0.1\n", ["--resolution", "21"]),
+     "alpha = 3\nkz = 0.05\nbeta = 0.2-0.1j\n", ["--resolution", "21"]),
     (["photon-dist", "3", "0.05", "(0.1-0.2j)"],
-     "alpha = 3\nkz = 0.05\nbeta_re = 0.1\nbeta_im = -0.2\n", []),
+     "alpha = 3\nkz = 0.05\nbeta = (0.1-0.2j)\n", []),
     (["design", "0.1", "1e8", "--preset", "si3n4"],
      "power = 0.1\nspectral_width = 1e8\npreset = si3n4\n", []),
     (["design", "0.1", "--target-db", "-5", "--preset", "si3n4"],
@@ -370,7 +375,7 @@ CONFIG_CASES = [
 ]
 
 
-def _run_from_config(case, tmp_path, stem):
+def _run_with_config(case, tmp_path, stem):
     flags, text, extra = case
     cfg = tmp_path / f"{stem}.cfg"
     cfg.write_text(text)
@@ -380,26 +385,26 @@ def _run_from_config(case, tmp_path, stem):
 @pytest.mark.parametrize("case", CONFIG_CASES, ids=lambda c: " ".join(c[0][:2]))
 def test_config_file_writes_the_flag_form_artifact(case, tmp_path):
     code_flags, from_flags = run(case[0], tmp_path, "flags.json")
-    code_config, from_config = _run_from_config(case, tmp_path, "config")
+    code_config, from_config = _run_with_config(case, tmp_path, "config")
     assert code_flags == code_config == 0
     assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 def test_every_config_field_is_read(tmp_path, monkeypatch):
-    # a RunConfig field that no command reads would be a config key that is
+    # an INPUTS key that no command reads would be a config key that is
     # accepted and silently ignored
     read = set()
 
-    class Recording(RunConfig):
-        def __getattribute__(self, name):
-            read.add(name)
-            return super().__getattribute__(name)
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
 
     load = cli._load_config
-    monkeypatch.setattr(cli, "_load_config", lambda path: Recording(**vars(load(path))))
+    monkeypatch.setattr(cli, "_load_config", lambda path: Recording(load(path)))
     for i, case in enumerate(CONFIG_CASES):
-        assert _run_from_config(case, tmp_path, f"c{i}")[0] == 0
-    assert {f.name for f in fields(RunConfig)} <= read
+        assert _run_with_config(case, tmp_path, f"c{i}")[0] == 0
+    assert set(cli.INPUTS) <= read
 
 
 def test_every_subcommand_has_help(capsys):
@@ -426,7 +431,7 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["sweep-length", "10", "--kz-min", "0", "--kz-max", "0.02", "--kz-log"], None, "kz-min"),
     (["sweep-length", "10", "--kz-values", ","], None, "kz-values"),
     (["wigner", "3", "0.05", "--half-width", "x"], None, "half_width"),
-    (["fano", "--config", "FILE"], "alpha = 0\nkz = 0.01\nbeta_re = 0.1\n",
+    (["fano", "--config", "FILE"], "alpha = 0\nkz = 0.01\nbeta = 0.1\n",
      "mean photon number"),
     (["fano", "2", "0.1", "nan"], None, "beta must be finite"),
     (["fano", "2", "0.1", "(inf+0j)"], None, "beta must be finite"),
@@ -464,6 +469,14 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
      "n0 = 2.0\nn2_m2_per_W = x\n", "preset line 2: n2_m2_per_W: could not parse 'x'"),
     (["fano", "--config", "FILE"], "alpha = 3\n# shift\nkz = x\n",
      "config line 3: kz: could not parse 'x'"),
+    (["design", "1e-300", "1e7", "--preset", "si3n4"], None,
+     "alpha = 8.83339e-145 is below 2, where the large-|alpha| laws"),
+    (["design", "1e-12", "1e8", "--target-db", "-5", "--preset", "si3n4"], None,
+     "alpha = 0.279336 is below 2"),
+    (["design", "1e-22", "1e-10", "--n2", "1e-320", "--n0", "2", "--sigma-eff", "1e-12",
+      "--wavelength", "1.55e-6"], None, "z_opt = inf is not finite"),
+    (["fano", "--config", "FILE"], "alpha = 3\nkz = 0.05\nbeta_re = 0.1\n",
+     "config line 3: unknown key 'beta_re'"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -472,17 +485,24 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "fano-alpha-1e200", "optimize-alpha-1e200", "sweep-alpha-1e200",
         "design-alpha-overflow", "design-width-underflow", "design-z-overflow",
         "design-kerr-coupling-overflow", "wigner-half-width-1e300",
-        "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value"])
+        "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value",
+        "design-alpha-below-laws", "design-floor-alpha-below-laws", "design-z-opt-underflow",
+        "config-beta-re"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or
-    # exited 2 without naming the field, the line or the key
+    # exited 2 without naming the field, the line or the key. The error is
+    # the one line on stderr: a warning (pytest would capture it) fails too
     if text is not None:
         path = tmp_path / "input.txt"
         path.write_text(text)
         argv = [str(path) if a == "FILE" else a for a in argv]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
 
 
 def test_module_entry_smoke():
