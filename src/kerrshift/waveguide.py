@@ -44,6 +44,14 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _quotient(name: str, numerator: float, denominator: float) -> float:
+    """numerator / denominator through _finite(). In numpy a denominator
+    that underflowed to 0 gives inf, where a Python float would raise
+    ZeroDivisionError."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return _finite(name, float(np.float64(numerator) / denominator))
+
+
 @dataclass(frozen=True)
 class WaveguideSpec:
     """Material and geometry: Kerr index n2 (m^2/W), refractive index n0,
@@ -88,8 +96,8 @@ class BeamSpec:
 
 def kerr_coupling(wg: WaveguideSpec, beam: BeamSpec) -> float:
     """Kerr coupling K in 1/m: n2 hbar omega^2 / (2 c tau_coh sigma_eff)."""
-    return _finite("kerr_coupling", wg.n2 * HBAR * wg.omega ** 2
-                   / (2.0 * SPEED_OF_LIGHT * beam.coherence_time * wg.sigma_eff))
+    return _quotient("kerr_coupling", wg.n2 * HBAR * wg.omega ** 2,
+                     2.0 * SPEED_OF_LIGHT * beam.coherence_time * wg.sigma_eff)
 
 
 def _photon_number(beam: BeamSpec, wg: WaveguideSpec) -> float:
@@ -167,8 +175,7 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
         x = (4.0 - np.sqrt(16.0 + 4.0 * np.log(fano))) / 2.0
     else:
         x = 1.0 / (4.0 * np.sqrt(fano))
-    z = 2.0 * float(x) / (gamma(wg) * power)
-    return _finite("z", z), float(x)
+    return _quotient("z", 2.0 * float(x), gamma(wg) * power), float(x)
 
 
 _PRESET_KEYS = {

@@ -477,6 +477,10 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
       "--wavelength", "1.55e-6"], None, "z_opt = inf is not finite"),
     (["fano", "--config", "FILE"], "alpha = 3\nkz = 0.05\nbeta_re = 0.1\n",
      "config line 3: unknown key 'beta_re'"),
+    (["design", "1e-30", "--target-db", "-5", "--n2", "1e-320", "--n0", "2",
+      "--sigma-eff", "1e-12", "--wavelength", "1.55e-6"], None, "z = inf is not finite"),
+    (["design", "1e6", "1e24", "--n2", "2.5e-19", "--n0", "2", "--sigma-eff", "1e-320",
+      "--wavelength", "1.55e-6"], None, "kerr_coupling = inf is not finite"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -487,7 +491,7 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "design-kerr-coupling-overflow", "wigner-half-width-1e300",
         "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value",
         "design-alpha-below-laws", "design-floor-alpha-below-laws", "design-z-opt-underflow",
-        "config-beta-re"])
+        "config-beta-re", "design-gamma-power-underflow", "design-tau-sigma-underflow"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

@@ -183,6 +183,39 @@ def test_band_drops_only_elements_below_its_tolerance(delta_abs, n_trunc):
         assert np.all(np.abs(block[:, band:]) < _BAND_TOL)
 
 
+def _column_run(delta_abs, n_cols, band, start=0):
+    """The columns _columns() yields from `start`, and the first column it yields."""
+    blocks = list(_columns(delta_abs, n_cols, band, start))
+    return np.concatenate([block for _, block in blocks]), blocks[0][0]
+
+
+@given(delta_abs=st.floats(1e-3, 10.0), start=st.integers(0, 5000))
+@settings(max_examples=25, deadline=None)
+@example(delta_abs=2.116, start=2415)
+@example(delta_abs=10.0, start=100)
+@example(delta_abs=1e-3, start=5000)
+def test_seeded_columns_match_the_run_from_column_0(delta_abs, start):
+    # 200 columns from the start column against the same columns run up
+    # from column 0, over a band sized as displace() sizes it
+    n_cols = start + 200
+    band = _band(delta_abs, n_cols - 1 + int(np.ceil(10.0 * (delta_abs + 1.0))), n_cols - 1)
+    full, _ = _column_run(delta_abs, n_cols, band)
+    seeded, first = _column_run(delta_abs, n_cols, band, start)
+    assert first == (start if start >= delta_abs ** 2 else 0)
+    assert np.max(np.abs(seeded - full[first:])) <= 1e-13
+
+
+def test_seed_below_x_starts_at_column_0():
+    # below n = x the order recurrence meets the column's lower turning point
+    # and Miller's downward run loses the column (error 0.2 at |delta| = 10)
+    band = _band(10.0, 300, 190)
+    for start in (1, 10, 99):
+        _, first = _column_run(10.0, 191, band, start)
+        assert first == 0
+    _, first = _column_run(10.0, 191, band, 100)
+    assert first == 100
+
+
 def _length_optimum_state(alpha):
     opt = optimize_length(alpha)
     scenario = KerrScenario(alpha, opt.kz)
@@ -193,7 +226,10 @@ def _length_optimum_state(alpha):
 @pytest.mark.parametrize("case", ["alpha-60-optimum", "alpha-150-by-0.01"])
 def test_band_matches_the_edge_band(case, monkeypatch):
     # the Szego band carries 423 of 714 diagonals at the alpha = 60 optimum
-    # and 25 of 944 at alpha = 150 displaced by 0.01
+    # and 25 of 944 at alpha = 150 displaced by 0.01. The start column and
+    # the seed depend on the band, so both runs start at column 0
+    columns = fock._columns
+    monkeypatch.setattr(fock, "_columns", lambda d, n_cols, band, start: columns(d, n_cols, band))
     state, delta = (_length_optimum_state(60.0) if case == "alpha-60-optimum"
                     else (coherent_state(150.0), 0.01))
     narrow = displace(state, delta)
@@ -201,6 +237,36 @@ def test_band_matches_the_edge_band(case, monkeypatch):
     wide = displace(state, delta)
     assert narrow.n_trunc == wide.n_trunc
     assert np.max(np.abs(narrow.amplitudes - wide.amplitudes)) <= 1e-18
+
+
+@pytest.mark.parametrize("alpha, skipped", [(60.0, 0.59), (200.0, 0.85)])
+def test_seeded_displace_matches_the_run_from_column_0(alpha, skipped, monkeypatch):
+    # displace() starts K columns below the first column carrying more than
+    # 1e-30 of the mass: it skips 59% of the columns at the alpha = 60 optimum
+    # and 85% of 42 020 at the alpha = 200 optimum
+    state, delta = _length_optimum_state(alpha)
+    columns, starts = fock._columns, []
+
+    def recorded(d, n_cols, band, start):
+        blocks = columns(d, n_cols, band, start)
+        n0, block = next(blocks)
+        starts.append(n0 / n_cols)
+        yield n0, block
+        yield from blocks
+
+    monkeypatch.setattr(fock, "_columns", recorded)
+    seeded = displace(state, delta)
+    monkeypatch.setattr(fock, "_columns", lambda d, n_cols, band, start: columns(d, n_cols, band))
+    full = displace(state, delta)
+    assert starts[0] == pytest.approx(skipped, abs=0.01)
+    assert seeded.n_trunc == full.n_trunc
+    assert np.max(np.abs(seeded.amplitudes - full.amplitudes)) <= 1e-12
+
+
+def test_vacuum_displaced_by_200i_keeps_its_norm():
+    # 42 020 diagonals from column 0: seeded as exp(k log|delta| - x/2 -
+    # log(k!)/2), the exponent's rounding showed as a norm defect of 3.0e-11
+    assert displace(coherent_state(0), 200j).tail_mass <= 1e-12
 
 
 def test_alpha_200_length_optimum_displaces():
@@ -213,10 +279,11 @@ def test_alpha_200_length_optimum_displaces():
     assert photon_statistics(state).fano == pytest.approx(opt.fano_min, rel=1e-8)
 
 
-@given(abs_alpha=st.floats(0.5, 60.0), phase=st.floats(0.0, 2 * np.pi),
+@given(abs_alpha=st.floats(0.5, 100.0), phase=st.floats(0.0, 2 * np.pi),
        kz_scale=st.floats(0.3, 3.0), beta_scale=st.floats(0.0, 5.0),
        beta_turn=st.floats(0.0, 2 * np.pi))
 @settings(max_examples=20, deadline=None)
+@example(abs_alpha=100.0, phase=0.0, kz_scale=1.0, beta_scale=1.0, beta_turn=0.0)
 def test_fock_fano_matches_closed_form(abs_alpha, phase, kz_scale, beta_scale, beta_turn):
     # F of the displaced Fock state against the closed form, with beta up to
     # five times the optimal shift in any direction
