@@ -245,7 +245,7 @@ def _column_zero(delta_abs: float, band: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _miller(delta_abs: float, n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
     """T_n^k for k <= band, up to one factor common to all k, as mantissa
-    times 2^exponent.
+    in [0.5, 1) (or 0) times 2^exponent.
 
     At fixed n the elements obey a three-term recurrence in the order
     (DLMF 18.9.13-14),
@@ -271,7 +271,8 @@ def _miller(delta_abs: float, n: int, band: int) -> tuple[np.ndarray, np.ndarray
         mant.append(t)
         expo.append(e)
     # the values were appended from k = 2 band - 1 down to k = 0
-    return np.array(mant[:-band - 2:-1]), np.array(expo[:-band - 2:-1], dtype=np.int64)
+    mant, shift = np.frexp(mant[:-band - 2:-1])
+    return mant, shift + np.array(expo[:-band - 2:-1], dtype=np.int64)
 
 
 def _steps(delta_abs: float, n: np.ndarray, ks, roots: tuple[np.ndarray, np.ndarray],
@@ -311,11 +312,7 @@ def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.nd
     digits of each column, and every column after it would inherit that
     rounding as a drift.
     """
-    cols = []
-    for n in (start - 1, start):
-        mant, expo = _miller(delta_abs, n, band)
-        mant, shift = np.frexp(mant)
-        cols.append((mant, expo + shift))
+    cols = [_miller(delta_abs, n, band) for n in (start - 1, start)]
     with np.errstate(divide="ignore"):
         size = sum(np.log2(np.abs(m[:band])) + e[:band] for m, e in cols)
     anchor = int(np.argmax(size))
@@ -333,9 +330,9 @@ def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.nd
             before, now, diff = before / _RESCALE, now / _RESCALE, diff / _RESCALE
             e += _RESCALE_BITS
     rows = []
-    for (mant, expo), true in zip(cols, (before, now)):
-        true, shift = math.frexp(true)
-        m, ex = np.frexp(mant * (true / mant[anchor]))
+    for (mant, expo), value in zip(cols, (before, now)):
+        value, shift = math.frexp(value)
+        m, ex = np.frexp(mant * (value / mant[anchor]))
         rows.append((m, ex + expo - expo[anchor] + e + shift))
     (m_prev, e_prev), (m_now, e_now) = rows
     top = np.maximum(e_prev, e_now)[:band]
@@ -475,9 +472,9 @@ def displace(state: FockState, delta: complex) -> FockState:
     of underflow, so states up to |alpha| = MAX_AMPLITUDE displace: the
     alpha = 200 length optimum takes 43306 levels and a band of 1792
     diagonals (2581 to the edge), starts at column 35 937 of 42 020, and
-    leaves a norm defect of 5e-14. On a 2-core Xeon host that displace()
-    call takes 0.29 s (2.0 s from column 0), and the process peaks at 43 MB
-    RSS.
+    leaves a norm defect of 7e-14. On a 2-core Xeon host that displace()
+    call takes 0.3-0.4 s (2.0 s from column 0), and the process peaks at
+    43 MB RSS.
 
     The truncated unitary loses the mass the displaced state carries above
     n_max, and a band too narrow would lose the mass outside it; if that norm

@@ -206,8 +206,8 @@ def test_seeded_columns_match_the_run_from_column_0(delta_abs, start):
 
 
 def test_seed_below_x_starts_at_column_0():
-    # below n = x the order recurrence meets the column's lower turning point
-    # and Miller's downward run loses the column (error 0.2 at |delta| = 10)
+    # below n = x / 4 the column has a lower turning point in the order k,
+    # under which Miller's downward run is unstable; n_s >= x keeps a margin
     band = _band(10.0, 300, 190)
     for start in (1, 10, 99):
         _, first = _column_run(10.0, 191, band, start)
@@ -270,7 +270,7 @@ def test_vacuum_displaced_by_200i_keeps_its_norm():
 
 
 def test_alpha_200_length_optimum_displaces():
-    # the MAX_AMPLITUDE state: 43 306 levels, O(N) memory, ~4 s
+    # the MAX_AMPLITUDE state: 43 306 levels, O(N) memory
     opt = optimize_length(200.0)
     scenario = KerrScenario(200.0, opt.kz)
     delta = shift_amplitude(scenario, DisplacementSetting(beta=opt.beta_opt))
