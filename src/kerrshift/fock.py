@@ -222,24 +222,32 @@ def _band(delta_abs: float, n_max: int, n_trunc: int) -> int:
 def _column_zero(delta_abs: float, band: int) -> tuple[np.ndarray, np.ndarray]:
     """T_0^k = e^{-x/2} x^{k/2} / sqrt(k!), k < band, as mantissa times 2^exponent.
 
-    The ratio T_0^{k+1} = T_0^k |delta| / sqrt(k + 1) runs from 1, its
-    mantissa kept in [0.5, 1) by frexp, and the column is divided by its
-    norm: it is the coherent state |delta>, and the band drops below 1e-20 of
-    it. Each T_0^k then carries about sqrt(k) roundings, where
-    exp(k log|delta| - x/2 - log(k!)/2) carried about 1e-16 times the size of
-    that exponent (2e-11 at k = 4e4).
+    The ratio T_0^{k+1} = T_0^k |delta| / sqrt(k + 1) runs from 1 as a
+    product of the ratios' frexp mantissas, with their exponents summed
+    apart, and the column is divided by its norm: it is the coherent state
+    |delta>, and the band drops below 1e-20 of it. Each T_0^k then carries
+    about sqrt(k) roundings, where exp(k log|delta| - x/2 - log(k!)/2)
+    carried about 1e-16 times the size of that exponent (2e-11 at k = 4e4).
     """
-    mant, expo = [], []
-    m, e = 1.0, 0
-    for k in range(band):
-        mant.append(m)
-        expo.append(e)
-        m, step = math.frexp(m * (delta_abs / math.sqrt(k + 1.0)))
-        e += step
-    mant, expo = np.array(mant), np.array(expo, dtype=np.int64)
+    ratio, step = np.frexp(delta_abs / np.sqrt(np.arange(1.0, band)))
+    mant = np.ones(band)
+    expo = np.concatenate(([0], np.cumsum(step)))
+    # runs of 1000 mantissas in [0.5, 1) multiply to no less than 2^-1000
+    lift = 0
+    for at in range(1, band, 1000):
+        carry, shift = math.frexp(mant[at - 1])
+        lift += shift
+        stop = min(at + 1000, band)
+        mant[at:stop] = carry * np.cumprod(ratio[at - 1: stop - 1])
+        expo[at:stop] += lift
+    mant, shift = np.frexp(mant)
+    expo += shift
     top = int(expo.max())
-    # fsum rounds once, so diagonals past the band's 1e-20 do not move the norm
-    norm = math.sqrt(math.fsum((np.ldexp(mant, expo - top) ** 2).tolist()))
+    # fsum rounds once, over the squares above 1e-32 (T_0^k above ~1e-18):
+    # the others, the diagonals past the band's 1e-20 among them, are too
+    # small to move the norm, so a wider band leaves it as it is
+    squares = np.ldexp(mant, expo - top) ** 2
+    norm = math.sqrt(math.fsum(squares[squares > 1e-32].tolist()))
     return mant / norm, expo - top
 
 
