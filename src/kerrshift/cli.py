@@ -16,6 +16,11 @@ either exits 2 naming the file kind, the line and the key. fano and
 photon-dist report the same PhotonStatistics record, from the closed form
 and from the Fock engine. Each command returns its artifact and its
 human-readable lines; main writes both and maps errors to exit codes.
+
+The COMMANDS table maps each subcommand to its handler, help, positionals
+and options. build_parser registers all of them, so usage, choices and
+errors read the same for every argv, but gives arguments only to the command
+argv[0] names, the only one argparse can reach; the others stay bare.
 """
 
 from __future__ import annotations
@@ -343,54 +348,69 @@ def cmd_reproduce(args, config: dict):
     return artifact, human
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand: (handler, help, positionals, options). Positionals and
+# options map a name to its add_argument keywords; an option is the flag
+# --name ({} for an input that _inputs parses). Every command also takes
+# --format, --out and --config.
+_MAYBE = {"nargs": "?"}
+COMMANDS = {
+    "fano": (cmd_fano, "Fano factor of a displaced Kerr state",
+             dict.fromkeys(("alpha", "kz", "beta"), _MAYBE), {"tau": {}}),
+    "optimize": (cmd_optimize, "optimal shift (and length, without --kz)",
+                 {"alpha": _MAYBE}, {"kz": {}, "tol_kz": {}}),
+    "sweep-length": (cmd_sweep_length, "optimally displaced F over a kz grid",
+                     {"alpha": _MAYBE},
+                     {"kz_values": {"help": "comma-separated kz list"},
+                      "kz_min": {"type": float}, "kz_max": {"type": float},
+                      "kz_points": {"type": int, "default": 25},
+                      "kz_log": {"action": "store_true"}}),
+    "wigner": (cmd_wigner, "Wigner function grid",
+               dict.fromkeys(("alpha", "kz"), _MAYBE),
+               {"beta": {}, "center": {"default": "auto", "help": "complex center or 'auto'"},
+                "half_width": {"default": "auto"},
+                "resolution": {"type": int, "default": 201}}),
+    "photon-dist": (cmd_photon_dist, "photon number distribution",
+                    dict.fromkeys(("alpha", "kz", "beta"), _MAYBE), {}),
+    "design": (cmd_design, "physical design numbers for a waveguide",
+               dict.fromkeys(("power", "spectral_width"), _MAYBE),
+               dict.fromkeys(("preset", "target_db", "n2", "n0", "sigma_eff",
+                              "wavelength"), {})),
+    "reproduce": (cmd_reproduce, "rebuild a published table or figure dataset",
+                  {"target": {"choices": TARGETS}}, {}),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: every COMMANDS entry is a subcommand, so the usage
+    line, the choice list and every error read the same for any argv. When
+    argv[0] names a command, argparse dispatches to that one alone, so only it
+    gets its arguments and -h; the others are bare stubs that carry their
+    help. Otherwise (no argv, -h, --version, an unknown name) all get theirs."""
     parser = argparse.ArgumentParser(
         prog="kerrshift",
         description="Photon-noise suppression with displaced Kerr states")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, func, help, positionals=(), **options):
-        """One subcommand: optional positionals, one --flag per option (its
-        add_argument keywords; {} for an input that _inputs parses), and the
-        --format/--out/--config flags every command takes."""
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (func, help, positionals, options) in COMMANDS.items():
+        if named not in (None, name):
+            sub.add_parser(name, help=help, add_help=False)
+            continue
         p = sub.add_parser(name, help=help)
-        for positional in positionals:
-            p.add_argument(positional, nargs="?")
+        for dest, kwargs in positionals.items():
+            p.add_argument(dest, **kwargs)
         for dest, kwargs in options.items():
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", help="write the artifact here")
         p.add_argument("--config", help="key=value config file")
         p.set_defaults(func=func)
-        return p
-
-    command("fano", cmd_fano, "Fano factor of a displaced Kerr state",
-            ("alpha", "kz", "beta"), tau={})
-    command("optimize", cmd_optimize, "optimal shift (and length, without --kz)",
-            ("alpha",), kz={}, tol_kz={})
-    command("sweep-length", cmd_sweep_length, "optimally displaced F over a kz grid",
-            ("alpha",), kz_values={"help": "comma-separated kz list"},
-            kz_min={"type": float}, kz_max={"type": float},
-            kz_points={"type": int, "default": 25},
-            kz_log={"action": "store_true"})
-    command("wigner", cmd_wigner, "Wigner function grid", ("alpha", "kz"),
-            beta={}, center={"default": "auto", "help": "complex center or 'auto'"},
-            half_width={"default": "auto"},
-            resolution={"type": int, "default": 201})
-    command("photon-dist", cmd_photon_dist, "photon number distribution",
-            ("alpha", "kz", "beta"))
-    command("design", cmd_design, "physical design numbers for a waveguide",
-            ("power", "spectral_width"), preset={}, target_db={}, n2={}, n0={},
-            sigma_eff={}, wavelength={})
-    reproduce = command("reproduce", cmd_reproduce,
-                        "rebuild a published table or figure dataset")
-    reproduce.add_argument("target", choices=TARGETS)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         artifact, human_lines = args.func(args, _load_config(args.config))
         _emit(args, artifact, human_lines)

@@ -43,7 +43,7 @@ class TargetBelowFloor(KerrshiftError):
 
 
 class StateTooLarge(KerrshiftError):
-    """Wigner grid of this state would need a temporary above wigner.MAX_WIGNER_BYTES."""
+    """A Wigner map would need an array above wigner.MAX_WIGNER_BYTES."""
 
 
 class NumericalOverflow(KerrshiftError):

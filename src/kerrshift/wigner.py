@@ -47,10 +47,11 @@ from .fock import FockState, field_moment, photon_distribution
 
 # Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
 SUPPORT_MARGIN = 10.0
-# Byte limit on the (S x resolution) complex phase matrix e^{2i p_j s_k}, the
-# largest temporary once it passes BLOCK_BYTES, and on psi over the lattice,
-# which outgrows it when the window is far wider than the state. A 401^2 map
-# of the alpha = 30 optimum (N = 1343) needs 29 MB of phase matrix.
+# Byte limit on each complex array of a map: the (S x resolution) phase
+# matrix e^{2i p_j s_k}, psi over the lattice, which outgrows it when the
+# window is far wider than the state, and the (resolution x resolution) grid
+# of W, which outgrows both once resolution > S. A 401^2 map of the alpha = 30
+# optimum (N = 1343) needs 29 MB of phase matrix; a 4096^2 grid fills the limit.
 MAX_WIGNER_BYTES = 2 ** 28
 # Rows of the psi*(q+s) psi(q-s) kernel are built in blocks of at most this many bytes.
 BLOCK_BYTES = 2 ** 24
@@ -160,6 +161,11 @@ def wigner(state: FockState, center: complex | None = None,
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not 16.0 * resolution * resolution <= MAX_WIGNER_BYTES:
+        raise StateTooLarge(
+            f"resolution {resolution}x{resolution}: its grid needs "
+            f"{16.0 * resolution * resolution:.4g} B, above the limit "
+            f"MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
     if not (np.isfinite(half_width) and half_width > 0.0):
         raise ValueError(f"half_width must be finite and positive, got {half_width}")
     if center is None:

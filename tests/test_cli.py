@@ -419,6 +419,43 @@ def test_every_subcommand_has_help(capsys):
         assert f"usage: kerrshift {name}" in capsys.readouterr().out
 
 
+PARITY_ARGV = [[], ["-h"], ["--version"], ["bogus"], ["-"],
+               ["fano", "1", "0.1", "0", "--bogus"], ["fano", "--format", "xml"],
+               ["reproduce", "fig9"], ["wigner", "--resolution", "x"],
+               ["optimize", "3", "--kz"], ["fano", "--", "1"]] + [
+    [name, "--help"] for name in cli.COMMANDS]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr, parsed inputs) of parser.parse_args(argv)."""
+    try:
+        parsed, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, parsed
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_parser_for_argv_reads_as_the_full_parser(argv, columns, monkeypatch, capsys):
+    # the parser built for argv gives the full parser's usage, help, choice
+    # list and errors, at any terminal width
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert (_parse_outcome(build_parser(argv), argv, capsys)
+            == _parse_outcome(build_parser(), argv, capsys))
+
+
+def test_parser_for_a_command_builds_only_its_arguments():
+    sub = next(a for a in build_parser(["fano", "1"])._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    assert {name for name, p in sub.choices.items() if p._actions} == {"fano"}
+
+
 INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
 
 
@@ -481,6 +518,9 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
       "--sigma-eff", "1e-12", "--wavelength", "1.55e-6"], None, "z = inf is not finite"),
     (["design", "1e6", "1e24", "--n2", "2.5e-19", "--n0", "2", "--sigma-eff", "1e-320",
       "--wavelength", "1.55e-6"], None, "kerr_coupling = inf is not finite"),
+    (["wigner", "3", "0.05", "--resolution", "1000000000000"], None,
+     "resolution 1000000000000x1000000000000: its grid needs 1.6e+25 B, above the "
+     "limit MAX_WIGNER_BYTES = 268435456 B"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -491,7 +531,8 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "design-kerr-coupling-overflow", "wigner-half-width-1e300",
         "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value",
         "design-alpha-below-laws", "design-floor-alpha-below-laws", "design-z-opt-underflow",
-        "config-beta-re", "design-gamma-power-underflow", "design-tau-sigma-underflow"])
+        "config-beta-re", "design-gamma-power-underflow", "design-tau-sigma-underflow",
+        "wigner-resolution-1e12"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

@@ -284,6 +284,8 @@ def test_alpha_200_length_optimum_displaces():
        beta_turn=st.floats(0.0, 2 * np.pi))
 @settings(max_examples=20, deadline=None)
 @example(abs_alpha=100.0, phase=0.0, kz_scale=1.0, beta_scale=1.0, beta_turn=0.0)
+@example(abs_alpha=200.0, phase=0.0, kz_scale=1.0, beta_scale=1.0, beta_turn=0.0)
+@example(abs_alpha=200.0, phase=0.0, kz_scale=3.0, beta_scale=5.0, beta_turn=0.0)
 def test_fock_fano_matches_closed_form(abs_alpha, phase, kz_scale, beta_scale, beta_turn):
     # F of the displaced Fock state against the closed form, with beta up to
     # five times the optimal shift in any direction

@@ -94,14 +94,28 @@ def test_rotation_invariance_of_kerr_state():
 
 
 def test_wigner_rejects_large_states():
-    # the check runs before any allocation: 3001 columns of a 2020-level state
-    # need a phase matrix well above MAX_WIGNER_BYTES
+    # the check runs before the phase matrix and the lattice are allocated:
+    # 3001 columns of a 2020-level state need a phase matrix well above
+    # MAX_WIGNER_BYTES, while the 3001^2 grid of W itself fits
     with pytest.raises(StateTooLarge) as info:
         wigner(coherent_state(40.0), center=0j, half_width=50.0, resolution=3001)
     message = str(info.value)
     assert "n_trunc = 2020" in message
     assert "3001x3001" in message
     assert str(MAX_WIGNER_BYTES) in message
+
+
+def test_wigner_bounds_the_grid():
+    # the res x res complex grid of W is checked first, before the window is
+    # laid out: 4096^2 fills MAX_WIGNER_BYTES and passes on to the phase
+    # matrix check, 4097^2 is refused for its grid
+    state = coherent_state(1.0)
+    with pytest.raises(StateTooLarge, match="its phase matrix needs"):
+        wigner(state, resolution=4096)
+    with pytest.raises(StateTooLarge) as info:
+        wigner(state, resolution=4097)
+    assert str(info.value) == ("resolution 4097x4097: its grid needs 2.686e+08 B, "
+                               f"above the limit MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
 
 
 def test_wigner_bounds_the_lattice(monkeypatch):
