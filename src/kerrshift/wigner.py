@@ -161,11 +161,11 @@ def wigner(state: FockState, center: complex | None = None,
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if not 16.0 * resolution * resolution <= MAX_WIGNER_BYTES:
+    grid_bytes = 16.0 * resolution * resolution
+    if not grid_bytes <= MAX_WIGNER_BYTES:
         raise StateTooLarge(
-            f"resolution {resolution}x{resolution}: its grid needs "
-            f"{16.0 * resolution * resolution:.4g} B, above the limit "
-            f"MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
+            f"resolution {resolution}x{resolution}: its grid needs {grid_bytes:.4g} B, "
+            f"above the limit MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
     if not (np.isfinite(half_width) and half_width > 0.0):
         raise ValueError(f"half_width must be finite and positive, got {half_width}")
     if center is None:
