@@ -46,7 +46,7 @@ from .fock import (
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
 from .optimize import LENGTH_REL_TOL, optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
-from .serialize import Artifact, read_key_values, to_json_text
+from .serialize import Artifact, Grid, read_key_values
 from .waveguide import (
     BeamSpec,
     WaveguideSpec,
@@ -141,14 +141,15 @@ def _waveguide(preset: str | None, inline: list) -> WaveguideSpec:
     return WaveguideSpec(*inline)
 
 
-def _emit(args, artifact: Artifact | dict, human_lines: list[str]) -> None:
-    """Print the human lines; with --out, write the artifact (a dict: JSON only)."""
+def _emit(args, artifact: Artifact, human_lines: list[str]) -> None:
+    """Print the human lines; with --out, write the artifact in --format to
+    that file, block by block (Artifact.write), so the file's text is never
+    held whole."""
     for line in human_lines:
         print(line)
     if args.out is not None:
-        text = (to_json_text(artifact) if isinstance(artifact, dict)
-                else artifact.render(args.format))
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as stream:
+            artifact.write(stream, args.format)
         print(f"wrote {args.out}")
 
 
@@ -207,6 +208,13 @@ def cmd_optimize(args, config: dict):
     ]
 
 
+# Largest --kz-points. Each point is one shift optimum, about 0.2-0.3 ms on a
+# 2-core host (the 45-point `sweep-length 40` takes 10-13 ms), so the cap
+# bounds a sweep to about 30 s, and the kz_values list its meta carries (in
+# JSON and on one CSV comment line) to about 2.5 MB of text.
+MAX_KZ_POINTS = 100_000
+
+
 def _kz_grid(args) -> list[float]:
     """The kz values of --kz-values, or of the --kz-min/--kz-max grid."""
     if args.kz_values is not None:
@@ -219,6 +227,9 @@ def _kz_grid(args) -> list[float]:
         raise CliError("kz-values: give --kz-values or both --kz-min and --kz-max")
     if args.kz_points < 1:
         raise CliError(f"kz-points: must be at least 1, got {args.kz_points}")
+    if args.kz_points > MAX_KZ_POINTS:
+        raise CliError(f"kz-points: {args.kz_points} is above the limit "
+                       f"MAX_KZ_POINTS = {MAX_KZ_POINTS}")
     if not args.kz_log:
         return list(np.linspace(args.kz_min, args.kz_max, args.kz_points))
     for field, value in (("kz-min", args.kz_min), ("kz-max", args.kz_max)):
@@ -272,14 +283,8 @@ def cmd_wigner(args, config: dict):
                  w_max=w_max, n_trunc=state.n_trunc, imag_residue=grid.imag_residue)
     human = [f"grid {args.resolution}x{args.resolution}, window half-width {half_width:.6g}",
              f"integral = {integral:.6g}, max W = {w_max:.6g}"]
-    xs, ys = grid.xs, grid.ys
-    if args.format == "json":
-        # the JSON form keeps the grid's shape instead of (x, y, w) rows
-        return {"meta": meta, "data": {"xs": xs, "ys": ys, "values": grid.values}}, human
-    # values[i, j] sits at xs[i] + i ys[j]: rows run over y fastest
-    rows = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
-                            grid.values.ravel()])
-    return Artifact(meta, ["x", "y", "w"], rows), human
+    # values[i, j] sits at xs[i] + i ys[j]
+    return Artifact(meta, ["x", "y", "w"], Grid(grid.xs, grid.ys, grid.values)), human
 
 
 def cmd_photon_dist(args, config: dict):

@@ -218,6 +218,17 @@ def test_wigner_artifacts_match_a_per_cell_rendering(tmp_path):
     assert csv_text == Artifact(meta, ["x", "y", "w"], rows).to_csv_text()
 
 
+def test_wigner_csv_and_json_carry_the_same_values(tmp_path):
+    _, json_text, csv_text = _json_and_csv(
+        ["wigner", "2", "0.1", "--beta", "0.3+0.1j", "--resolution", "7"], tmp_path, "wx")
+    data = json.loads(json_text)["data"]
+    lines = [line for line in csv_text.splitlines() if not line.startswith("#")]
+    assert lines[0] == "x,y,w"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert rows == [[x, y, data["values"][i][j]] for i, x in enumerate(data["xs"])
+                    for j, y in enumerate(data["ys"])]
+
+
 def test_photon_dist_artifacts_match_a_per_cell_rendering(tmp_path):
     meta, json_text, csv_text = _json_and_csv(
         ["photon-dist", "3", "0.05", "(0.1-0.2j)"], tmp_path, "pd")
@@ -521,6 +532,12 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["wigner", "3", "0.05", "--resolution", "1000000000000"], None,
      "resolution 1000000000000x1000000000000: its grid needs 1.6e+25 B, above the "
      "limit MAX_WIGNER_BYTES = 268435456 B"),
+    (["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.03", "--kz-points",
+      "1000000000000"], None, "kz-points: 1000000000000 is above the limit "
+     "MAX_KZ_POINTS = 100000"),
+    (["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.03", "--kz-points",
+      "1000000000000", "--kz-log"], None, "kz-points: 1000000000000 is above the limit "
+     "MAX_KZ_POINTS = 100000"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -532,7 +549,7 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value",
         "design-alpha-below-laws", "design-floor-alpha-below-laws", "design-z-opt-underflow",
         "config-beta-re", "design-gamma-power-underflow", "design-tau-sigma-underflow",
-        "wigner-resolution-1e12"])
+        "wigner-resolution-1e12", "sweep-kz-points-1e12", "sweep-log-kz-points-1e12"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

@@ -1,20 +1,52 @@
-"""Array tables render byte for byte like the same values as lists of lists."""
+"""Array and grid tables render byte for byte like the same values as lists
+of lists, in row blocks of any size, and writing holds one block at a time."""
+
+import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kerrshift.serialize import Artifact, _json_value, to_json_text
+from kerrshift import serialize
+from kerrshift.serialize import Artifact, Grid, _json_value, to_json_text
 
 EDGES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308,
          2.0 ** 53, -(2.0 ** 53), 1.0, 0.1]
+AXIS_EDGES = [-0.0, 0.0, 5e-324, 2.0 ** 53, 1e308]
 cells = st.one_of(st.floats(), st.sampled_from(EDGES),
                   st.integers(-(2 ** 53), 2 ** 53).map(float))
 tables = arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 4)),
                 elements=cells)
 vectors = arrays(np.float64, st.integers(0, 8), elements=cells)
 META = {"command": "probe", "config": {"x": 1.25, "n": 3}}
+# BLOCK_CELLS values under which every renderer is checked: one row per
+# block, a few rows per block, and the whole of any drawn table in one block
+BLOCK_SIZES = (1, 5, serialize.BLOCK_CELLS)
+
+
+@st.composite
+def grids(draw):
+    axis = st.one_of(st.floats(), st.sampled_from(AXIS_EDGES))
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return Grid(draw(arrays(np.float64, nx, elements=axis)),
+                draw(arrays(np.float64, ny, elements=axis)),
+                draw(arrays(np.float64, (nx, ny), elements=cells)))
+
+
+def _one_template(table: np.ndarray) -> str:
+    """Every row of a 2-D array as CSV through a single %-template: the text
+    that row blocks must reproduce."""
+    n, m = table.shape
+    return "".join([",".join(["%.17g"] * m) + "\n"] * n) % tuple(table.ravel().tolist())
+
+
+def _written(artifact: Artifact, fmt: str) -> str:
+    stream = io.StringIO()
+    artifact.write(stream, fmt)
+    return stream.getvalue()
 
 
 def test_every_edge_value_formats_as_format_17g():
@@ -32,6 +64,78 @@ def test_array_rows_render_like_list_rows(table):
     as_lists = Artifact(META, columns, table.tolist(), ["a failure"])
     assert as_array.to_json_text() == as_lists.to_json_text()
     assert as_array.to_csv_text() == as_lists.to_csv_text()
+
+
+@given(grid=grids())
+@example(grid=Grid(np.array(AXIS_EDGES), np.array(AXIS_EDGES[::-1]),
+                   np.array(EDGES * 3)[:25].reshape(5, 5)))
+@example(grid=Grid(np.array([1.5]), np.array([-0.0]), np.array([[np.nan]])))
+@settings(max_examples=200, deadline=None)
+def test_grid_artifacts_render_like_their_rows(grid):
+    # the CSV of a Grid is its (x, y, w) rows with y running fastest; its
+    # JSON is the axes and the values, as lists
+    rows = np.column_stack([np.repeat(grid.xs, len(grid.ys)),
+                            np.tile(grid.ys, len(grid.xs)), grid.values.ravel()])
+    header = Artifact(META, ["x", "y", "w"], []).render("csv")
+    json_text = to_json_text({"meta": META, "data": {
+        "xs": grid.xs.tolist(), "ys": grid.ys.tolist(), "values": grid.values.tolist()}})
+    artifact = Artifact(META, ["x", "y", "w"], grid)
+    for block_cells in BLOCK_SIZES:
+        with mock.patch.object(serialize, "BLOCK_CELLS", block_cells):
+            assert artifact.render("csv") == header + _one_template(rows)
+            assert artifact.render("csv") == Artifact(META, ["x", "y", "w"],
+                                                      rows.tolist()).render("csv")
+            assert artifact.render("json") == json_text
+
+
+@given(table=tables, grid=grids())
+@settings(max_examples=100, deadline=None)
+def test_write_gives_the_rendered_text(table, grid):
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    artifacts = [Artifact(META, columns, table.tolist(), ["a failure"]),
+                 Artifact(META, columns, table, ["a failure"]),
+                 Artifact(META, ["x", "y", "w"], grid)]
+    for block_cells in BLOCK_SIZES:
+        with mock.patch.object(serialize, "BLOCK_CELLS", block_cells):
+            for artifact in artifacts:
+                for fmt in ("csv", "json"):
+                    assert _written(artifact, fmt) == artifact.render(fmt)
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> None:
+        self.written += len(text)
+
+
+def test_writing_a_grid_holds_one_block_not_the_text():
+    # a 201^2 map, the size of the benchmark's, with 17-digit axes and values
+    axis = np.linspace(-7.123, 7.456, 201)
+    values = np.random.default_rng(7).standard_normal((201, 201)) / 7.0
+    artifact = Artifact(META, ["x", "y", "w"], Grid(axis, axis + 0.1, values))
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        artifact.write(sink, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.written == len(artifact.render("csv"))
+    assert peak < sink.written / 4
+
+
+@pytest.mark.parametrize("xs, ys, values, message", [
+    (np.zeros(2), np.zeros(3), np.zeros((3, 2)), "shape"),
+    (np.zeros((2, 1)), np.zeros(3), np.zeros((2, 3)), "2-d"),
+    (np.zeros(2), np.zeros(3, dtype=complex), np.zeros((2, 3)), "complex"),
+])
+def test_a_grid_refuses_values_off_its_axes(xs, ys, values, message):
+    with pytest.raises((TypeError, ValueError), match=message):
+        Grid(xs, ys, values)
 
 
 @given(vector=vectors, table=tables, indent=st.integers(0, 6))
