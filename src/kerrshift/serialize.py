@@ -173,7 +173,9 @@ def _json_leaf(value, indent: int) -> str:
 
 
 def _json_value(value, indent: int) -> str:
-    return "".join(_json_blocks(value, indent))
+    if isinstance(value, (np.ndarray, dict, list, tuple)):
+        return "".join(_json_blocks(value, indent))
+    return _json_leaf(value, indent)
 
 
 def to_json_text(obj) -> str:
