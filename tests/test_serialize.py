@@ -70,6 +70,7 @@ def test_array_rows_render_like_list_rows(table):
 @example(grid=Grid(np.array(AXIS_EDGES), np.array(AXIS_EDGES[::-1]),
                    np.array(EDGES * 3)[:25].reshape(5, 5)))
 @example(grid=Grid(np.array([1.5]), np.array([-0.0]), np.array([[np.nan]])))
+@example(grid=Grid(np.array([1.0, 2.0]), np.empty(0), np.empty((2, 0))))
 @settings(max_examples=200, deadline=None)
 def test_grid_artifacts_render_like_their_rows(grid):
     # the CSV of a Grid is its (x, y, w) rows with y running fastest; its
