@@ -328,17 +328,18 @@ def cmd_design(args, config: dict):
     (spectral_width,) = _inputs(args, config, "spectral_width")
     beam = BeamSpec(power=power, spectral_width=spectral_width)
     alpha = alpha_from_power(beam, wg)
+    coupling, gam, z_opt = kerr_coupling(wg, beam), gamma(wg), z_opt_physical(wg, beam)
+    floor_db = fano_floor_physical(wg, beam)
     meta = _meta("design", dict(wg_config, spectral_width=spectral_width))
     artifact = Artifact(meta, ["alpha", "kerr_coupling_per_m", "gamma_per_w_m",
                                "z_opt_m", "fano_floor_db"],
-                        [[alpha, kerr_coupling(wg, beam), gamma(wg),
-                          z_opt_physical(wg, beam), fano_floor_physical(wg, beam)]])
+                        [[alpha, coupling, gam, z_opt, floor_db]])
     return artifact, [
         f"|alpha|         = {alpha:.6g}",
-        f"K               = {kerr_coupling(wg, beam):.6g} 1/m",
-        f"gamma           = {gamma(wg):.6g} 1/(W m)",
-        f"z_opt           = {z_opt_physical(wg, beam):.6g} m",
-        f"fano floor      = {fano_floor_physical(wg, beam):.6g} dB",
+        f"K               = {coupling:.6g} 1/m",
+        f"gamma           = {gam:.6g} 1/(W m)",
+        f"z_opt           = {z_opt:.6g} m",
+        f"fano floor      = {floor_db:.6g} dB",
     ]
 
 

@@ -23,7 +23,7 @@ class ZeroMeanPhoton(KerrshiftError):
 
 
 class DegenerateDenominator(KerrshiftError):
-    """Displaced mean photon number vanished; Fano factor undefined."""
+    """The denominator of F or the displaced mean photon number vanished; F undefined."""
 
 
 class NonConvergence(KerrshiftError):

@@ -20,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, NumericalOverflow
 from .fock import KerrScenario, PhotonStatistics
+
+# F is refused where its denominator s + |beta + g1|^2 is at or below this
+DENOM_FLOOR = 1e-15
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _sin_minus_arg(t: float) -> float:
@@ -32,6 +36,16 @@ def _sin_minus_arg(t: float) -> float:
     return np.sin(t) - t
 
 
+def _sin_sq_term(factor: float, scenario: KerrScenario, t: float) -> float:
+    """factor |a|^2 sin^2 t. Below the smallest normal double (|t| below about
+    1.5e-154) sin^2 t loses bits or underflows to 0 while the product can be
+    of order 1 (|a| = 1e100, t = 1e-200), so there |a| goes in before squaring."""
+    sin_t = np.sin(t)
+    if sin_t ** 2 < _TINY:
+        return factor * (abs(scenario.alpha) * sin_t) ** 2
+    return factor * scenario.abs_alpha_sq * sin_t ** 2
+
+
 def g_factors(scenario: KerrScenario) -> tuple[complex, complex]:
     """Dephasing factors (g1, g2) of the Kerr-evolved field moments.
 
@@ -40,8 +54,8 @@ def g_factors(scenario: KerrScenario) -> tuple[complex, complex]:
     """
     a2 = scenario.abs_alpha_sq
     kz = scenario.kz
-    e1 = a2 * complex(-2.0 * np.sin(kz) ** 2, _sin_minus_arg(2.0 * kz))
-    e2 = a2 * complex(-2.0 * np.sin(2.0 * kz) ** 2, _sin_minus_arg(4.0 * kz))
+    e1 = complex(_sin_sq_term(-2.0, scenario, kz), a2 * _sin_minus_arg(2.0 * kz))
+    e2 = complex(_sin_sq_term(-2.0, scenario, 2.0 * kz), a2 * _sin_minus_arg(4.0 * kz))
     return np.exp(e1), np.exp(e2)
 
 
@@ -115,7 +129,7 @@ def fano_forms(scenario: KerrScenario) -> FanoForms:
         w = np.conj(g1) ** 2 * np.expm1(x)
     else:
         w = np.exp(-2j * kz) * np.conj(g2) - np.conj(g1) ** 2
-    s = float(-np.expm1(-4.0 * a2 * np.sin(kz) ** 2))
+    s = float(-np.expm1(_sin_sq_term(-4.0, scenario, kz)))
     bracket = 2.0 * np.array([[0.0, c.real, -c.imag],
                               [c.real, w.real + s, -w.imag],
                               [-c.imag, -w.imag, s - w.real]])
@@ -132,12 +146,26 @@ def fano_displaced(scenario: KerrScenario,
                    setting: DisplacementSetting) -> PhotonStatistics:
     """Exact photon statistics of the displaced Kerr state from the closed form:
     the mean is tau^2 |a|^2 times the denominator of F, the variance F times
-    the mean. The Fock engine's photon_statistics() returns the same record."""
+    the mean. The Fock engine's photon_statistics() returns the same record.
+    A denominator at or below DENOM_FLOOR, or a mean at or below 0, raises
+    DegenerateDenominator; a mean, variance or F that is not finite raises
+    NumericalOverflow."""
     a2 = scenario.abs_alpha_sq
-    fano, denom = fano_forms(scenario).evaluate(setting.beta, setting.tau ** 2 * a2)
-    mean = setting.tau ** 2 * a2 * float(denom)
-    if mean <= 0.0 or float(denom) <= 1e-15:
+    forms = fano_forms(scenario)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fano, denom = forms.evaluate(setting.beta, setting.tau ** 2 * a2)
+    denom = float(denom)
+    mean = setting.tau ** 2 * a2 * denom
+    if denom <= DENOM_FLOOR:
+        raise DegenerateDenominator(
+            f"denominator s + |beta + g1|^2 = {denom} of F is at or below its floor "
+            f"DENOM_FLOOR = {DENOM_FLOOR} at beta = {setting.beta}")
+    if mean <= 0.0:
         raise DegenerateDenominator(
             f"mean photon number {mean} is not positive at beta = {setting.beta}")
     fano = float(fano)
-    return PhotonStatistics(mean, fano * mean, fano)
+    variance = fano * mean
+    for name, value in (("mean photon number", mean), ("variance", variance), ("F", fano)):
+        if not math.isfinite(value):
+            raise NumericalOverflow(f"{name} = {value} is not finite at beta = {setting.beta}")
+    return PhotonStatistics(mean, variance, fano)

@@ -263,12 +263,6 @@ class Artifact:
     def render(self, fmt: str) -> str:
         return "".join(self._blocks(fmt))
 
-    def to_json_text(self) -> str:
-        return self.render("json")
-
-    def to_csv_text(self) -> str:
-        return self.render("csv")
-
 
 def read_key_values(text: str, kind: str, parsers: dict) -> dict:
     """{key: parsers[key](value)} from the `key = value` lines of a config or

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from kerrshift import optimize_length
+from kerrshift.optimize import optimize_length
 
 
 @lru_cache(maxsize=None)

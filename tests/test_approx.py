@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from kerrshift import (
-    OutOfValidityRange,
+from kerrshift.approx import (
     f1_short,
     f2_near_opt,
     f_min_approx,
@@ -14,6 +13,7 @@ from kerrshift import (
     kz_app,
     kz_opt_approx,
 )
+from kerrshift.errors import OutOfValidityRange
 
 
 def db(value):

@@ -9,24 +9,21 @@ import warnings
 import numpy as np
 import pytest
 
-from kerrshift import (
-    DisplacementSetting,
-    KerrScenario,
-    auto_window,
-    coherent_state,
-    displace,
-    fano_displaced,
-    kerr_evolve,
-    optimize_beta,
-    photon_distribution,
-    photon_statistics,
-    shift_amplitude,
-    wigner,
-)
 import kerrshift.cli as cli
 from kerrshift.cli import build_parser, main
-from kerrshift.fock import log_factorial
+from kerrshift.fock import (
+    KerrScenario,
+    coherent_state,
+    displace,
+    kerr_evolve,
+    log_factorial,
+    photon_distribution,
+    photon_statistics,
+)
+from kerrshift.moments import DisplacementSetting, fano_displaced, shift_amplitude
+from kerrshift.optimize import optimize_beta
 from kerrshift.serialize import Artifact, to_json_text
+from kerrshift.wigner import auto_window, wigner
 
 
 def run(args, tmp_path=None, out_name=None):
@@ -95,7 +92,7 @@ def test_optimize_full_length(tmp_path):
 
 
 def test_nonconvergence_exit_3(monkeypatch, capsys):
-    from kerrshift import NonConvergence
+    from kerrshift.errors import NonConvergence
     import kerrshift.cli as cli_mod
 
     def boom(*args, **kwargs):
@@ -215,7 +212,7 @@ def test_wigner_artifacts_match_a_per_cell_rendering(tmp_path):
     assert json_text == to_json_text(
         {"meta": meta, "data": {"xs": xs, "ys": ys, "values": values}})
     rows = [[x, y, values[i][j]] for i, x in enumerate(xs) for j, y in enumerate(ys)]
-    assert csv_text == Artifact(meta, ["x", "y", "w"], rows).to_csv_text()
+    assert csv_text == Artifact(meta, ["x", "y", "w"], rows).render("csv")
 
 
 def test_wigner_csv_and_json_carry_the_same_values(tmp_path):
@@ -238,8 +235,8 @@ def test_photon_dist_artifacts_match_a_per_cell_rendering(tmp_path):
     pois = np.exp(-stats.mean + n * np.log(stats.mean) - log_factorial(n))
     rows = [[int(i), float(p), float(q)] for i, p, q in zip(n, probs, pois)]
     artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"], rows)
-    assert json_text == artifact.to_json_text()
-    assert csv_text == artifact.to_csv_text()
+    assert json_text == artifact.render("json")
+    assert csv_text == artifact.render("csv")
     counts = [line.split(",")[0] for line in csv_text.splitlines()
               if line and not line.startswith("#")][1:]
     assert counts == [str(i) for i in range(len(probs))]
@@ -538,6 +535,15 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.03", "--kz-points",
       "1000000000000", "--kz-log"], None, "kz-points: 1000000000000 is above the limit "
      "MAX_KZ_POINTS = 100000"),
+    (["fano", "3", "0.05", "1e300"], None,
+     "mean photon number = inf is not finite at beta = (1e+300+0j)"),
+    (["fano", "3", "0.05", "1e154"], None,
+     "mean photon number = inf is not finite at beta = (1e+154+0j)"),
+    (["fano", "1e10", "0.3", "(1e-5+1e140j)"], None,
+     "variance = inf is not finite at beta = (1e-05+1e+140j)"),
+    (["optimize", "1e20", "--kz", "1e-40"], None,
+     "denominator s + |beta + g1|^2 = 3.999999999999999e-40 of F is at or below its "
+     "floor DENOM_FLOOR = 1e-15"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -549,7 +555,9 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "wigner-half-width-1e200", "wigner-center-1e300", "preset-value", "config-value",
         "design-alpha-below-laws", "design-floor-alpha-below-laws", "design-z-opt-underflow",
         "config-beta-re", "design-gamma-power-underflow", "design-tau-sigma-underflow",
-        "wigner-resolution-1e12", "sweep-kz-points-1e12", "sweep-log-kz-points-1e12"])
+        "wigner-resolution-1e12", "sweep-kz-points-1e12", "sweep-log-kz-points-1e12",
+        "fano-beta-1e300", "fano-mean-overflow", "fano-variance-overflow",
+        "optimize-denominator-floor"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

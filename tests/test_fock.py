@@ -10,29 +10,36 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from kerrshift import (
+import kerrshift.fock as fock
+from kerrshift.errors import (
     AmplitudeTooLarge,
-    FockState,
-    KerrScenario,
     OrderTooHigh,
     TruncationUnachievable,
     ZeroMeanPhoton,
+)
+from kerrshift.fock import (
+    _BAND_TOL,
+    FockState,
+    KerrScenario,
+    _band,
+    _columns,
+    _edge_band,
     coherent_state,
     displace,
     displacement_matrix,
-    fano_displaced,
     field_moment,
-    g_factors,
     kerr_evolve,
-    optimize_beta,
-    optimize_length,
+    log_factorial,
     photon_distribution,
     photon_statistics,
-    shift_amplitude,
-    DisplacementSetting,
 )
-from kerrshift import fock
-from kerrshift.fock import _BAND_TOL, _band, _columns, _edge_band, log_factorial
+from kerrshift.moments import (
+    DisplacementSetting,
+    fano_displaced,
+    g_factors,
+    shift_amplitude,
+)
+from kerrshift.optimize import optimize_beta, optimize_length
 
 
 def test_vacuum_state():
@@ -400,7 +407,7 @@ def test_photon_distribution_is_poisson_for_coherent():
 
 def test_displaced_kerr_spotlight_alpha10():
     # variance ~ 1.99 and mean slightly below 100 at the published optimum
-    from kerrshift import optimize_beta
+    from kerrshift.optimize import optimize_beta
 
     scenario = KerrScenario(10.0, 0.0218)
     opt = optimize_beta(scenario)
@@ -435,7 +442,7 @@ def test_hamiltonian_variant_is_a_rigid_rotation():
         rot ** 2 * field_moment(state_sq, 0, 2), rel=1e-12)
     # the optimally displaced Fano factor is rotation invariant
     scenario = KerrScenario(alpha, kz)
-    from kerrshift import optimize_beta
+    from kerrshift.optimize import optimize_beta
 
     seed = shift_amplitude(scenario, DisplacementSetting(beta=optimize_beta(scenario).beta_opt))
     f_sq = _fock_fano_minimum(state_sq, seed)

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrshift import (
-    DegenerateDenominator,
-    DisplacementSetting,
+from kerrshift.errors import DegenerateDenominator
+from kerrshift.fock import (
     KerrScenario,
     coherent_state,
     displace,
+    kerr_evolve,
+    photon_statistics,
+)
+from kerrshift.moments import (
+    DisplacementSetting,
     fano_displaced,
     fano_values,
     g_factors,
-    kerr_evolve,
-    photon_statistics,
     shift_amplitude,
 )
 
@@ -83,7 +85,7 @@ def test_fano_depends_on_alpha_modulus_only(phase, beta_re, beta_im):
        beta_scale=st.floats(0.0, 4.0), beta_angle=st.floats(0.0, 2 * np.pi))
 @settings(max_examples=60, deadline=None)
 def test_mean_and_variance_nonnegative(alpha, kz_frac, beta_scale, beta_angle):
-    from kerrshift import f_min_approx, kz_opt_approx
+    from kerrshift.approx import f_min_approx, kz_opt_approx
 
     kz = kz_frac * kz_opt_approx(alpha)
     beta = beta_scale * np.sqrt(f_min_approx(alpha)) * np.exp(1j * beta_angle)
@@ -97,6 +99,16 @@ def test_fano_finite_where_the_dephasing_underflows():
     # the w exponent overflows; the forms reduce to F = 1 + 2|a|^2|b|^2 / (1 + |b|^2)
     scenario = KerrScenario(200.0, 1.0)
     assert float(fano_values(scenario, 0.1)) == pytest.approx(1.0 + 800.0 / 1.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.1 - 0.3j, -0.5 + 0.2j, 2j, -1.5 - 0.7j])
+def test_fano_where_sin_squared_underflows(beta):
+    # sin^2(1e-200) underflows to 0; F depends on |a|^2 kz and beta alone at
+    # such small kz, so it must match F at the same |a|^2 kz = 1 with normal sin^2
+    setting = DisplacementSetting(beta=beta)
+    tiny = fano_displaced(KerrScenario(1e100, 1e-200), setting)
+    normal = fano_displaced(KerrScenario(1e20, 1e-40), setting)
+    assert tiny.fano == pytest.approx(normal.fano, rel=1e-12)
 
 
 def test_degenerate_denominator():

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrshift.optimize as optimize_mod
-from kerrshift import (
-    KerrScenario,
-    NonConvergence,
-    UnboundedOptimum,
-    fano_values,
-    g_factors,
+from kerrshift.approx import kz_app
+from kerrshift.cli import main
+from kerrshift.errors import NonConvergence, UnboundedOptimum
+from kerrshift.fock import KerrScenario
+from kerrshift.moments import FanoForms, fano_forms, fano_values, g_factors
+from kerrshift.optimize import (
     optimize_beta,
     optimize_length,
     rayleigh_lower_bound,
     sweep_length,
 )
-from kerrshift.approx import kz_app
-from kerrshift.cli import main
-from kerrshift.moments import FanoForms, fano_forms
 
 
 def test_zero_length_shortcut():

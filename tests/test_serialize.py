@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kerrshift import serialize
+import kerrshift.serialize as serialize
 from kerrshift.serialize import Artifact, Grid, _json_value, to_json_text
 
 EDGES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308,
@@ -62,8 +62,8 @@ def test_array_rows_render_like_list_rows(table):
     columns = [f"c{j}" for j in range(table.shape[1])]
     as_array = Artifact(META, columns, table, ["a failure"])
     as_lists = Artifact(META, columns, table.tolist(), ["a failure"])
-    assert as_array.to_json_text() == as_lists.to_json_text()
-    assert as_array.to_csv_text() == as_lists.to_csv_text()
+    assert as_array.render("json") == as_lists.render("json")
+    assert as_array.render("csv") == as_lists.render("csv")
 
 
 @given(grid=grids())
@@ -154,14 +154,14 @@ def test_nested_arrays_render_like_lists(vector, table, indent):
 def test_integer_arrays_print_bare_integers():
     table = np.array([[0, 1], [2 ** 53, -7]])
     artifact = Artifact(META, ["a", "b"], table)
-    assert artifact.to_csv_text().endswith("a,b\n0,1\n9007199254740992,-7\n")
-    assert artifact.to_json_text() == Artifact(META, ["a", "b"], table.tolist()).to_json_text()
+    assert artifact.render("csv").endswith("a,b\n0,1\n9007199254740992,-7\n")
+    assert artifact.render("json") == Artifact(META, ["a", "b"], table.tolist()).render("json")
 
 
 def test_an_empty_table_renders_as_empty_list_rows():
     artifact = Artifact(META, ["x", "y"], np.empty((0, 2)))
-    assert artifact.to_csv_text().endswith("\nx,y\n")
-    assert '"rows": []' in artifact.to_json_text()
+    assert artifact.render("csv").endswith("\nx,y\n")
+    assert '"rows": []' in artifact.render("json")
     assert _json_value(np.empty(0), 2) == "[]"
 
 

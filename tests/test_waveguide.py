@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrshift import (
+from kerrshift.approx import f_min_approx
+from kerrshift.errors import NumericalOverflow, TargetBelowFloor
+from kerrshift.reference import TABLE2, TABLE3, round_sig
+from kerrshift.waveguide import (
+    HBAR,
+    SPEED_OF_LIGHT,
     BeamSpec,
-    NumericalOverflow,
-    TargetBelowFloor,
     WaveguideSpec,
     alpha_from_power,
-    f_min_approx,
     fano_floor_physical,
     gamma,
     kerr_coupling,
@@ -19,8 +21,6 @@ from kerrshift import (
     parse_preset,
     z_opt_physical,
 )
-from kerrshift.reference import TABLE2, TABLE3, round_sig
-from kerrshift.waveguide import HBAR, SPEED_OF_LIGHT
 
 SI3N4 = load_preset("si3n4")
 

@@ -1,7 +1,5 @@
 """Wigner maps: closed forms, parity formula, normalization, bound, symmetries."""
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,25 +7,19 @@ from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from conftest import length_optimum
-from kerrshift import (
-    DisplacementSetting,
+import kerrshift.wigner as wigner_module
+from kerrshift.errors import StateTooLarge
+from kerrshift.fock import (
     FockState,
     KerrScenario,
-    StateTooLarge,
-    auto_window,
     coherent_state,
     displace,
     field_moment,
     kerr_evolve,
     photon_distribution,
-    shift_amplitude,
-    wigner,
-    wigner_at,
 )
-from kerrshift.wigner import MAX_WIGNER_BYTES
-
-# the package's name `wigner` is the function; the module is looked up by path
-wigner_module = importlib.import_module("kerrshift.wigner")
+from kerrshift.moments import DisplacementSetting, shift_amplitude
+from kerrshift.wigner import MAX_WIGNER_BYTES, auto_window, wigner, wigner_at
 
 TWO_OVER_PI = 2.0 / np.pi
 
