@@ -16,6 +16,7 @@ beta. These closed forms hold at any amplitude, far beyond Fock-engine reach.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .fock import KerrScenario, PhotonStatistics
 
 # F is refused where its denominator s + |beta + g1|^2 is at or below this
 DENOM_FLOOR = 1e-15
-_TINY = np.finfo(float).tiny  # the smallest normal double
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 def _sin_minus_arg(t: float) -> float:
@@ -41,9 +42,10 @@ def _sin_sq_term(factor: float, scenario: KerrScenario, t: float) -> float:
     1.5e-154) sin^2 t loses bits or underflows to 0 while the product can be
     of order 1 (|a| = 1e100, t = 1e-200), so there |a| goes in before squaring."""
     sin_t = np.sin(t)
-    if sin_t ** 2 < _TINY:
+    sin_sq = sin_t ** 2
+    if sin_sq < _TINY:
         return factor * (abs(scenario.alpha) * sin_t) ** 2
-    return factor * scenario.abs_alpha_sq * sin_t ** 2
+    return factor * scenario.abs_alpha_sq * sin_sq
 
 
 def g_factors(scenario: KerrScenario) -> tuple[complex, complex]:
@@ -106,14 +108,15 @@ class FanoForms:
     bracket: np.ndarray
 
     def evaluate(self, beta, m: float):
-        """(F, denominator) at (broadcastable) beta, with m = tau^2 |a|^2."""
+        """(F, denominator) at (broadcastable) beta, with m = tau^2 |a|^2.
+        A large beta overflows to inf or nan without a warning; callers check."""
         beta = np.asarray(beta, dtype=complex)
         x, y = beta.real, beta.imag
         k = self.bracket
-        quad = (2.0 * (k[0, 1] * x + k[0, 2] * y)
-                + k[1, 1] * x * x + 2.0 * k[1, 2] * x * y + k[2, 2] * y * y)
-        denom = self.s + np.abs(beta + self.g1) ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            quad = (2.0 * (k[0, 1] * x + k[0, 2] * y)
+                    + k[1, 1] * x * x + 2.0 * k[1, 2] * x * y + k[2, 2] * y * y)
+            denom = self.s + np.abs(beta + self.g1) ** 2
             fano = 1.0 + m * quad / denom
         return fano, denom
 
@@ -151,9 +154,7 @@ def fano_displaced(scenario: KerrScenario,
     DegenerateDenominator; a mean, variance or F that is not finite raises
     NumericalOverflow."""
     a2 = scenario.abs_alpha_sq
-    forms = fano_forms(scenario)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fano, denom = forms.evaluate(setting.beta, setting.tau ** 2 * a2)
+    fano, denom = fano_forms(scenario).evaluate(setting.beta, setting.tau ** 2 * a2)
     denom = float(denom)
     mean = setting.tau ** 2 * a2 * denom
     if denom <= DENOM_FLOOR:

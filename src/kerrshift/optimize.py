@@ -103,8 +103,7 @@ def optimize_beta(scenario: KerrScenario) -> Optimum:
         big = (q + np.copysign(np.hypot(q, 2.0 * b * np.sqrt(s)), q)) / (2.0 * b)
         rhos = np.array([big, -s / big])
     betas = rhos * complex(e[0], e[1]) - forms.g1
-    with np.errstate(over="ignore", invalid="ignore"):
-        fano, _ = forms.evaluate(betas, scenario.abs_alpha_sq)
+    fano, _ = forms.evaluate(betas, scenario.abs_alpha_sq)
     fano = np.where(np.isfinite(fano), fano, np.inf)
     best = int(np.argmin(fano))
     if not fano[best] < 1.0:
