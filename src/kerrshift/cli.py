@@ -39,9 +39,9 @@ from .fock import (
     coherent_state,
     displace,
     kerr_evolve,
-    log_factorial,
     photon_distribution,
     photon_statistics,
+    poisson_probabilities,
 )
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
 from .optimize import LENGTH_REL_TOL, optimize_beta, optimize_length, sweep_length
@@ -257,9 +257,7 @@ def _displaced_state(scenario: KerrScenario, beta: complex):
     and that shift."""
     shift = shift_amplitude(scenario, DisplacementSetting(beta=beta))
     state = kerr_evolve(coherent_state(scenario.alpha), scenario.kz)
-    if beta != 0:
-        state = displace(state, shift)
-    return state, shift
+    return displace(state, shift), shift
 
 
 def cmd_wigner(args, config: dict):
@@ -292,9 +290,9 @@ def cmd_photon_dist(args, config: dict):
     state, _ = _displaced_state(KerrScenario(alpha, kz), beta)
     probs = photon_distribution(state)
     stats = photon_statistics(state)
-    # Poissonian comparison at the same mean, in log domain
+    # Poissonian comparison at the same mean, over the levels shown
     n = np.arange(len(probs))
-    pois = np.exp(-stats.mean + n * np.log(stats.mean) - log_factorial(n))
+    pois = poisson_probabilities(stats.mean, len(probs))
     meta = _meta("photon-dist", {"alpha_re": alpha.real, "alpha_im": alpha.imag,
                                  "kz": kz, "beta_re": beta.real, "beta_im": beta.imag},
                  mean=stats.mean, variance=stats.variance, fano=stats.fano)

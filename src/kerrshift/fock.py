@@ -5,6 +5,10 @@ States are plain amplitude vectors c_n over n = 0..n_trunc; every operation is
 a pure function returning a fresh, normalized state. It needs only numpy and
 the standard library.
 
+The Poisson weights e^{-r^2/2} r^n / sqrt(n!) of the coherent state, of
+column 0 of the displacement and of poisson_probabilities() all come from
+one ratio product, _column_zero().
+
 The displacement D(delta) is applied without forming its matrix: the
 Cahill-Glauber three-term recurrence for the matrix elements (Phys. Rev. 177,
 1857 (1969)) runs column by column over the state's support, on a band of
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,25 +72,18 @@ _BAND_TOL = 1e-20
 _SUPPORT_TOL = 1e-30
 
 
-def log_factorial(n: np.ndarray) -> np.ndarray:
-    """log n! elementwise for whole n >= 0, from math.lgamma."""
-    n = np.asarray(n, dtype=float)
-    return np.fromiter((math.lgamma(v + 1.0) for v in n.ravel().tolist()),
-                       float, n.size).reshape(n.shape)
-
-
 def _poisson_tail(lam: float, n: int) -> float:
-    """P(N > n) for N ~ Poisson(lam) and n + 2 > lam, summed in log domain.
-
-    Past n the terms fall at least by the ratio lam / (n + 2) per step, so
-    the sum stops where that ratio has taken them below 1e-17 of the first.
+    """P(N > n) for N ~ Poisson(lam) and n + 2 > lam: the first term from
+    one lgamma, each later one from the last by the ratio lam / j. These
+    ratios are at most lam / (n + 2), so the sum stops where they have taken
+    the terms below 1e-17 of the first.
     """
     if lam == 0.0:
         return 0.0
     steps = 1 + math.ceil(math.log(1e-17) / math.log(lam / (n + 2.0)))
-    j = np.arange(n + 1, n + 1 + steps, dtype=float)
-    log_terms = -lam + j * math.log(lam) - log_factorial(j)
-    return float(np.exp(log_terms[0]) * np.sum(np.exp(log_terms - log_terms[0])))
+    first = math.exp(-lam + (n + 1.0) * math.log(lam) - math.lgamma(n + 2.0))
+    ratios = lam / np.arange(n + 2, n + 1 + steps, dtype=float)
+    return first * (1.0 + float(np.sum(np.cumprod(ratios))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,42 +146,31 @@ def _levels(r: float) -> int:
 def coherent_state(alpha: complex) -> FockState:
     """Coherent state |alpha>, c_n = e^{-|a|^2/2} a^n / sqrt(n!).
 
-    Amplitudes are computed in log domain (log-gamma) so that large |alpha|
-    does not underflow term by term. The basis ends at
+    The magnitudes, the column of _column_zero() at |a|, are within 1e-14
+    relative of their exact values above 1e-15. The basis ends at
     n_trunc = _levels(|a|). There the Poisson tail P(n > n_trunc) is at most
-    6.2e-24 for every 0 < |a| <= MAX_AMPLITUDE, largest at |a| = 200; that
-    tail, summed term by term in log domain, is reported as tail_mass.
+    6.2e-24 for every |a| <= MAX_AMPLITUDE, largest at |a| = 200; it is
+    reported as tail_mass.
     """
     a = abs(alpha)
     if a > MAX_AMPLITUDE:
         raise AmplitudeTooLarge(
             f"|alpha| = {a} exceeds the Fock engine cap {MAX_AMPLITUDE}")
     n_trunc = _levels(a)
-    n = np.arange(n_trunc + 1)
-    if a == 0.0:
-        amps = np.zeros(n_trunc + 1, dtype=complex)
-        amps[0] = 1.0
-        return FockState(amps, n_trunc, 0.0)
-    log_mag = -0.5 * a * a + n * np.log(a) - 0.5 * log_factorial(n)
-    amps = np.exp(log_mag + 1j * n * np.angle(alpha))
-    return _normalized(amps, _poisson_tail(a * a, n_trunc))
+    phase = np.exp(1j * np.angle(alpha) * np.arange(n_trunc + 1))
+    return _normalized(np.ldexp(*_column_zero(a, n_trunc + 1)) * phase,
+                       _poisson_tail(a * a, n_trunc))
 
 
-def kerr_evolve(state: FockState, kz: float, variant: str = "n_squared") -> FockState:
-    """Apply the Kerr phase e^{i kz n^2} (or the n(n-1) Hamiltonian variant).
+def kerr_evolve(state: FockState, kz: float) -> FockState:
+    """Apply the Kerr phase e^{i kz n^2}.
 
     Diagonal in photon number: |c_n|^2 is untouched.
     """
     if not np.isfinite(kz):
         raise ValueError("kz must be finite")
     n = np.arange(state.n_trunc + 1, dtype=float)
-    if variant == "n_squared":
-        phase = kz * n * n
-    elif variant == "n_n_minus_1":
-        phase = kz * n * (n - 1.0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return FockState(state.amplitudes * np.exp(1j * phase), state.n_trunc,
+    return FockState(state.amplitudes * np.exp(1j * (kz * n * n)), state.n_trunc,
                      state.tail_mass)
 
 
@@ -258,6 +245,20 @@ def _column_zero(delta_abs: float, band: int) -> tuple[np.ndarray, np.ndarray]:
     squares = np.ldexp(mant, expo - top) ** 2
     norm = math.sqrt(math.fsum(squares[squares > 1e-32].tolist()))
     return mant / norm, expo - top
+
+
+def poisson_probabilities(mean: float, size: int) -> np.ndarray:
+    """e^{-mean} mean^n / n! for n < size, size past the support (as
+    _levels(sqrt(mean)) + 1 is): the squared column of _column_zero() at
+    r = sqrt(mean), times (mean / r^2)^n e^{r^2 - mean} to undo the rounding
+    of r, which would move p_n by up to 7e-14 at a mean of 3200. Each p_n
+    above 1e-30 is within 9e-15 relative of its 50-digit value at means up
+    to 15 000, and 1.2e-14 up to 56 000.
+    """
+    r = math.sqrt(mean)
+    gap = float(Fraction(mean) - Fraction(r) ** 2)
+    weights = np.ldexp(*_column_zero(r, size))
+    return weights * weights * np.exp(-np.arange(size) * math.log1p(-gap / mean) - gap)
 
 
 def _miller(delta_abs: float, n: int, band: int) -> tuple[np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalOverflow, StateTooLarge
-from .fock import FockState, field_moment, photon_distribution
+from .fock import FockState, photon_distribution
 
 # Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
 SUPPORT_MARGIN = 10.0
@@ -152,12 +152,11 @@ def wigner_at(state: FockState, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def wigner(state: FockState, center: complex | None = None,
-           half_width: float = 6.0, resolution: int = 201) -> WignerGrid:
-    """Wigner function on a square grid.
-
-    Defaults: window centered on the mean field <a> with half-width 6 at
-    201 x 201. Strongly wrapped states need a wider window; see auto_window.
+def wigner(state: FockState, center: complex, half_width: float,
+           resolution: int) -> WignerGrid:
+    """Wigner function on the resolution x resolution grid of the square of
+    half-width half_width about center. auto_window gives a window that holds
+    the state's support however far the Kerr phase wraps it.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -168,9 +167,7 @@ def wigner(state: FockState, center: complex | None = None,
             f"above the limit MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
     if not (np.isfinite(half_width) and half_width > 0.0):
         raise ValueError(f"half_width must be finite and positive, got {half_width}")
-    if center is None:
-        center = complex(field_moment(state, 0, 1))
-    elif not np.isfinite(center):
+    if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
     xs = center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import length_optimum
 import kerrshift.cli as cli
 from kerrshift.cli import build_parser, main
 from kerrshift.fock import (
@@ -16,9 +18,9 @@ from kerrshift.fock import (
     coherent_state,
     displace,
     kerr_evolve,
-    log_factorial,
     photon_distribution,
     photon_statistics,
+    poisson_probabilities,
 )
 from kerrshift.moments import DisplacementSetting, fano_displaced, shift_amplitude
 from kerrshift.optimize import optimize_beta
@@ -163,6 +165,25 @@ def test_photon_dist(tmp_path):
     assert abs(rows[:, 2].sum() - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("alpha", [3.0, 10.0, 60.0])
+def test_photon_dist_poisson_column_matches_50_digit_values(tmp_path, alpha):
+    # poisson_same_mean = e^{-mean} mean^n / n! at the artifact's mean, to
+    # 1e-14 on every cell above 1e-30, at the length optimum
+    opt = length_optimum(alpha)
+    args = [str(alpha), str(float(opt.kz)), str(complex(opt.beta_opt))]
+    code, out = run(["photon-dist", *args], tmp_path, "pd.json")
+    assert code == 0
+    payload = read_json(out)
+    pois = np.array(payload["data"]["rows"], dtype=float)[:, 2]
+    with mpmath.workdps(50):
+        mean = mpmath.mpf(payload["meta"]["mean"])
+        exact = np.array([float(mpmath.exp(-mean + k * mpmath.log(mean)
+                                           - mpmath.loggamma(k + 1)))
+                          for k in range(len(pois))])
+    cells = exact > 1e-30
+    assert np.max(np.abs(pois[cells] / exact[cells] - 1.0)) <= 1e-14
+
+
 def test_photon_dist_at_alpha_100_past_the_old_seed_underflow(tmp_path):
     # 11 549 levels at |delta| ~ 2.5: the diagonals k >= 450 carry the band
     args = ["photon-dist", "100", "0.0010268", "(-0.00113-0.02482j)"]
@@ -232,7 +253,7 @@ def test_photon_dist_artifacts_match_a_per_cell_rendering(tmp_path):
     state = _displaced_kerr(3.0, 0.05, 0.1 - 0.2j)
     probs, stats = photon_distribution(state), photon_statistics(state)
     n = np.arange(len(probs))
-    pois = np.exp(-stats.mean + n * np.log(stats.mean) - log_factorial(n))
+    pois = poisson_probabilities(stats.mean, len(probs))
     rows = [[int(i), float(p), float(q)] for i, p, q in zip(n, probs, pois)]
     artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"], rows)
     assert json_text == artifact.render("json")

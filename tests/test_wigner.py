@@ -43,11 +43,11 @@ def test_coherent_wigner_is_displaced_gaussian():
 
 
 def test_default_window_normalization_compact_states():
-    # the default window (mean-field center, half-width 6) is adequate for
+    # a window about the mean field <a> with half-width 6 is adequate for
     # states whose support is compact: coherent, weakly wrapped Kerr
     for state in (coherent_state(3.0),
                   kerr_evolve(coherent_state(3.0), 0.25 * 0.1103)):
-        grid = wigner(state)
+        grid = wigner(state, complex(field_moment(state, 0, 1)), 6.0, 201)
         assert grid.values.shape == (201, 201)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
         assert grid.values.max() <= TWO_OVER_PI + 1e-9
@@ -64,7 +64,7 @@ def test_pure_state_bound_displaced_kerr():
 
 def test_marginal_total_mass():
     state = kerr_evolve(coherent_state(3.0), 0.02)
-    grid = wigner(state)
+    grid = wigner(state, complex(field_moment(state, 0, 1)), 6.0, 201)
     dy = grid.ys[1] - grid.ys[0]
     dx = grid.xs[1] - grid.xs[0]
     marginal = grid.values.sum(axis=1) * dy
@@ -103,9 +103,9 @@ def test_wigner_bounds_the_grid():
     # matrix check, 4097^2 is refused for its grid
     state = coherent_state(1.0)
     with pytest.raises(StateTooLarge, match="its phase matrix needs"):
-        wigner(state, resolution=4096)
+        wigner(state, 1.0 + 0j, 6.0, 4096)
     with pytest.raises(StateTooLarge) as info:
-        wigner(state, resolution=4097)
+        wigner(state, 1.0 + 0j, 6.0, 4097)
     assert str(info.value) == ("resolution 4097x4097: its grid needs 2.686e+08 B, "
                                f"above the limit MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
 
