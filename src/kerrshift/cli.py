@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import locale  # argparse's gettext loads it at the first parser build; load it at start-up
+import math
 import sys
 from pathlib import Path
 
@@ -189,7 +190,7 @@ _OPTIMUM_COLUMNS = ["kz", "beta_re", "beta_im", "beta_abs", "fano_min",
 
 def cmd_optimize(args, config: dict):
     alpha, kz, tol_kz = _inputs(args, config, "alpha", optional=("kz", "tol_kz"))
-    if not (np.isfinite(tol_kz) and tol_kz > 0):
+    if not (math.isfinite(tol_kz) and tol_kz > 0):
         raise CliError(f"tol_kz: must be finite and positive, got {tol_kz!r}")
     if kz is not None:
         opt = optimize_beta(KerrScenario(alpha, kz))

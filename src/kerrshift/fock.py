@@ -22,10 +22,10 @@ DISPLACE_DEFECT_TOL.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,6 +53,10 @@ MAX_FOCK_DIM = 60_000
 
 # The largest |alpha| whose square abs_alpha_sq is finite.
 _MAX_ABS_ALPHA = math.sqrt(sys.float_info.max)
+# Largest Kerr phase 4 kz and 4 |alpha|^2 kz of a KerrScenario. The closed
+# forms take the sine of 4 kz and |alpha|^2 (sin 4kz - 4kz), which is at most
+# |alpha|^2 (4 kz + 1) in size; below half the largest double both are finite.
+MAX_KERR_PHASE = sys.float_info.max / 2
 
 NORM_TOL = 1e-12
 # Largest norm defect of a truncated displacement that displace() accepts;
@@ -118,13 +122,18 @@ class KerrScenario:
     kz: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kz) or self.kz < 0:
+        if not math.isfinite(self.kz) or self.kz < 0:
             raise ValueError(f"kz must be finite and >= 0, got {self.kz}")
-        if not np.isfinite(self.alpha):
+        if not cmath.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if abs(self.alpha) > _MAX_ABS_ALPHA:
             raise ValueError(
                 f"alpha must have a finite |alpha|^2, got |alpha| = {abs(self.alpha):g}")
+        four_kz = 4.0 * self.kz
+        for name, phase in (("4 kz", four_kz), ("4 |alpha|^2 kz", self.abs_alpha_sq * four_kz)):
+            if phase > MAX_KERR_PHASE:
+                raise ValueError(f"kz = {self.kz!r}: the Kerr phase {name} = {phase:g} is "
+                                 f"above MAX_KERR_PHASE = {MAX_KERR_PHASE:g}")
 
     @property
     def abs_alpha_sq(self) -> float:
@@ -169,6 +178,10 @@ def kerr_evolve(state: FockState, kz: float) -> FockState:
     """
     if not np.isfinite(kz):
         raise ValueError("kz must be finite")
+    top = float(state.n_trunc)
+    if not math.isfinite(kz * top * top):
+        raise ValueError(f"kz = {kz!r}: the Kerr phase kz n^2 overflows at "
+                         f"n = n_trunc = {state.n_trunc}")
     n = np.arange(state.n_trunc + 1, dtype=float)
     return FockState(state.amplitudes * np.exp(1j * (kz * n * n)), state.n_trunc,
                      state.tail_mass)
@@ -247,6 +260,10 @@ def _column_zero(delta_abs: float, band: int) -> tuple[np.ndarray, np.ndarray]:
     return mant / norm, expo - top
 
 
+# Veltkamp's splitting constant 2^27 + 1 for doubles.
+_SPLIT = 134217729.0
+
+
 def poisson_probabilities(mean: float, size: int) -> np.ndarray:
     """e^{-mean} mean^n / n! for n < size, size past the support (as
     _levels(sqrt(mean)) + 1 is): the squared column of _column_zero() at
@@ -256,7 +273,13 @@ def poisson_probabilities(mean: float, size: int) -> np.ndarray:
     to 15 000, and 1.2e-14 up to 56 000.
     """
     r = math.sqrt(mean)
-    gap = float(Fraction(mean) - Fraction(r) ** 2)
+    # mean - r^2 exactly rounded: Dekker's product splits r r = p + e exactly
+    # (Veltkamp's split into halves of 26 bits), and mean - p is exact by
+    # Sterbenz's lemma, as p is within a factor 2 of the mean
+    hi = _SPLIT * r - (_SPLIT * r - r)
+    lo = r - hi
+    p = r * r
+    gap = (mean - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)
     weights = np.ldexp(*_column_zero(r, size))
     return weights * weights * np.exp(-np.arange(size) * math.log1p(-gap / mean) - gap)
 

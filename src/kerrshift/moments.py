@@ -15,6 +15,7 @@ beta. These closed forms hold at any amplitude, far beyond Fock-engine reach.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -34,17 +35,18 @@ def _sin_minus_arg(t: float) -> float:
     if abs(t) < 1e-3:
         t2 = t * t
         return -t * t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0))
-    return np.sin(t) - t
+    return math.sin(t) - t
 
 
 def _sin_sq_term(factor: float, scenario: KerrScenario, t: float) -> float:
     """factor |a|^2 sin^2 t. Below the smallest normal double (|t| below about
     1.5e-154) sin^2 t loses bits or underflows to 0 while the product can be
     of order 1 (|a| = 1e100, t = 1e-200), so there |a| goes in before squaring."""
-    sin_t = np.sin(t)
-    sin_sq = sin_t ** 2
+    sin_t = math.sin(t)
+    sin_sq = sin_t * sin_t
     if sin_sq < _TINY:
-        return factor * (abs(scenario.alpha) * sin_t) ** 2
+        scaled = abs(scenario.alpha) * sin_t
+        return factor * (scaled * scaled)
     return factor * scenario.abs_alpha_sq * sin_sq
 
 
@@ -58,7 +60,7 @@ def g_factors(scenario: KerrScenario) -> tuple[complex, complex]:
     kz = scenario.kz
     e1 = complex(_sin_sq_term(-2.0, scenario, kz), a2 * _sin_minus_arg(2.0 * kz))
     e2 = complex(_sin_sq_term(-2.0, scenario, 2.0 * kz), a2 * _sin_minus_arg(4.0 * kz))
-    return np.exp(e1), np.exp(e2)
+    return cmath.exp(e1), cmath.exp(e2)
 
 
 @dataclass(frozen=True)
@@ -98,75 +100,99 @@ class FanoForms:
         c = u g1*
         w = e^{-2ikz} g2* - g1*^2 = g1*^2 expm1(x),  x = |a|^2 u^2 - 2ikz
         s = 1 - |g1|^2 = -expm1(-4 |a|^2 sin^2 kz)
-    with v^T K v = 4 Re(beta c) + 2 Re(beta^2 w) + 2 |beta|^2 s, so K[0, 0] = 0
+    with v^T K v = 4 Re(beta c) + 2 Re(beta^2 w) + 2 |beta|^2 s, so K[0][0] = 0
     and F(0) = 1 exactly. Once Re x > 1, w is taken from the difference
     instead: there g1*^2 may underflow while expm1(x) overflows.
+
+    Every field is a Python number, and K a nested tuple of rows read as
+    K[i][j]. evaluate() and denominator() take beta as a Python complex or
+    as a complex array, with the same bits from both.
     """
 
     g1: complex
     s: float
-    bracket: np.ndarray
+    bracket: tuple
+
+    def denominator(self, beta):
+        """s + |beta + g1|^2 at beta. |z|^2 is summed from the squares of
+        its parts: abs() of a Python complex and of a numpy array round
+        differently, and a Python complex raises OverflowError where its
+        abs() passes the largest double."""
+        z = beta + self.g1
+        return self.s + (z.real * z.real + z.imag * z.imag)
 
     def evaluate(self, beta, m: float):
-        """(F, denominator) at (broadcastable) beta, with m = tau^2 |a|^2.
-        A large beta overflows to inf or nan without a warning; callers check."""
-        beta = np.asarray(beta, dtype=complex)
+        """F at beta, with m = tau^2 |a|^2. A large beta overflows to inf or
+        nan; callers check. A zero denominator raises ZeroDivisionError on a
+        Python complex, so statistics() tests it first."""
         x, y = beta.real, beta.imag
         k = self.bracket
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            quad = (2.0 * (k[0, 1] * x + k[0, 2] * y)
-                    + k[1, 1] * x * x + 2.0 * k[1, 2] * x * y + k[2, 2] * y * y)
-            denom = self.s + np.abs(beta + self.g1) ** 2
-            fano = 1.0 + m * quad / denom
-        return fano, denom
+        quad = (2.0 * (k[0][1] * x + k[0][2] * y)
+                + k[1][1] * x * x + 2.0 * k[1][2] * x * y + k[2][2] * y * y)
+        return 1.0 + m * quad / self.denominator(beta)
+
+    def statistics(self, beta: complex, m: float) -> PhotonStatistics:
+        """Photon statistics at beta, with m = tau^2 |a|^2: the mean is m
+        times the denominator of F, the variance F times the mean. A
+        denominator at or below DENOM_FLOOR, or a mean at or below 0, raises
+        DegenerateDenominator; a mean, variance or F that is not finite
+        raises NumericalOverflow."""
+        denom = self.denominator(beta)
+        mean = m * denom
+        if denom <= DENOM_FLOOR:
+            raise DegenerateDenominator(
+                f"denominator s + |beta + g1|^2 = {denom} of F is at or below its floor "
+                f"DENOM_FLOOR = {DENOM_FLOOR} at beta = {beta}")
+        if mean <= 0.0:
+            raise DegenerateDenominator(
+                f"mean photon number {mean} is not positive at beta = {beta}")
+        fano = self.evaluate(beta, m)
+        variance = fano * mean
+        for name, value in (("mean photon number", mean), ("variance", variance), ("F", fano)):
+            if not math.isfinite(value):
+                raise NumericalOverflow(f"{name} = {value} is not finite at beta = {beta}")
+        return PhotonStatistics(mean, variance, fano)
+
+
+def _expm1(z: complex) -> complex:
+    """e^z - 1 by numpy's formula for the complex expm1, with the same bits:
+    expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
+    x, y = z.real, z.imag
+    h = math.sin(y / 2.0)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
 
 
 def fano_forms(scenario: KerrScenario) -> FanoForms:
     """The denominator and bracket forms of the Fano factor at (|alpha|, kz)."""
     a2, kz = scenario.abs_alpha_sq, scenario.kz
     g1, g2 = g_factors(scenario)
-    u = -2j * np.sin(kz) * np.exp(-1j * kz)
-    c = u * np.conj(g1)
+    g1c = g1.conjugate()
+    u = -2j * math.sin(kz) * cmath.exp(-1j * kz)
+    c = u * g1c
     x = a2 * u * u - 2j * kz
     if x.real <= 1.0:
-        w = np.conj(g1) ** 2 * np.expm1(x)
+        w = g1c * g1c * _expm1(x)
     else:
-        w = np.exp(-2j * kz) * np.conj(g2) - np.conj(g1) ** 2
-    s = float(-np.expm1(_sin_sq_term(-4.0, scenario, kz)))
-    bracket = 2.0 * np.array([[0.0, c.real, -c.imag],
-                              [c.real, w.real + s, -w.imag],
-                              [-c.imag, -w.imag, s - w.real]])
-    return FanoForms(complex(g1), s, bracket)
+        w = cmath.exp(-2j * kz) * g2.conjugate() - g1c * g1c
+    s = -math.expm1(_sin_sq_term(-4.0, scenario, kz))
+    c_re, c_im = 2.0 * c.real, -2.0 * c.imag
+    return FanoForms(g1, s, ((0.0, c_re, c_im),
+                             (c_re, 2.0 * (w.real + s), -2.0 * w.imag),
+                             (c_im, -2.0 * w.imag, 2.0 * (s - w.real))))
 
 
 def fano_values(scenario: KerrScenario, betas) -> np.ndarray:
-    """Vectorized Fano factor over an array of shift coordinates beta, at tau = 1."""
-    fano, _ = fano_forms(scenario).evaluate(betas, scenario.abs_alpha_sq)
-    return np.asarray(fano)
+    """Vectorized Fano factor over an array of shift coordinates beta, at tau = 1.
+    A large beta overflows to inf or nan without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return fano_forms(scenario).evaluate(np.asarray(betas, dtype=complex),
+                                             scenario.abs_alpha_sq)
 
 
 def fano_displaced(scenario: KerrScenario,
                    setting: DisplacementSetting) -> PhotonStatistics:
-    """Exact photon statistics of the displaced Kerr state from the closed form:
-    the mean is tau^2 |a|^2 times the denominator of F, the variance F times
-    the mean. The Fock engine's photon_statistics() returns the same record.
-    A denominator at or below DENOM_FLOOR, or a mean at or below 0, raises
-    DegenerateDenominator; a mean, variance or F that is not finite raises
-    NumericalOverflow."""
-    a2 = scenario.abs_alpha_sq
-    fano, denom = fano_forms(scenario).evaluate(setting.beta, setting.tau ** 2 * a2)
-    denom = float(denom)
-    mean = setting.tau ** 2 * a2 * denom
-    if denom <= DENOM_FLOOR:
-        raise DegenerateDenominator(
-            f"denominator s + |beta + g1|^2 = {denom} of F is at or below its floor "
-            f"DENOM_FLOOR = {DENOM_FLOOR} at beta = {setting.beta}")
-    if mean <= 0.0:
-        raise DegenerateDenominator(
-            f"mean photon number {mean} is not positive at beta = {setting.beta}")
-    fano = float(fano)
-    variance = fano * mean
-    for name, value in (("mean photon number", mean), ("variance", variance), ("F", fano)):
-        if not math.isfinite(value):
-            raise NumericalOverflow(f"{name} = {value} is not finite at beta = {setting.beta}")
-    return PhotonStatistics(mean, variance, fano)
+    """Exact photon statistics of the displaced Kerr state from the closed
+    form, refused by name as FanoForms.statistics() says. The Fock engine's
+    photon_statistics() returns the same record."""
+    return fano_forms(scenario).statistics(setting.beta,
+                                           setting.tau ** 2 * scenario.abs_alpha_sq)

@@ -9,13 +9,16 @@ In gamma = beta + g1 the denominator form is exactly diag(s, 1, 1) and the
 bracket form is K' = T^T K T, so the minimum of F over every complex shift is
 1 + m lambda_min, the smallest eigenvalue of the symmetric matrix S K' S with
 S = diag(1/sqrt(s), 1, 1) (the symmetric-definite pencil of Golub & Van Loan,
-Matrix Computations, section 8.7). optimize_beta reads the optimal shift from
-the eigenvector u: beta* = gamma* - g1 with gamma* along (u1, u2). When the
-optimum lies far out (|gamma*| grows like 1/kz), u0 loses its relative
-accuracy, so the distance along that direction is taken from the 2 x 2 pencil
-on the line through gamma = 0, whose stationary points solve a quadratic.
-F, the mean photon number and the suppression are then reported from the
-closed form at beta*.
+Matrix Computations, section 8.7). That 3 x 3 eigenvalue is solved in Python
+floats by _smallest_eigenpair: one rotation of the lower 2 x 2 block, then
+Newton's method on the characteristic polynomial of the resulting arrowhead
+matrix, measured from the block's smaller eigenvalue. optimize_beta reads the
+optimal shift from the eigenvector u: beta* = gamma* - g1 with gamma* along
+(u1, u2). When the optimum lies far out (|gamma*| grows like 1/kz), u0 loses
+its relative accuracy, so the distance along that direction is taken from
+the 2 x 2 pencil on the line through gamma = 0, whose stationary points solve
+a quadratic. F, the mean photon number and the suppression are then reported
+from the same forms at beta*; each optimum builds them once.
 
 optimize_length golden-sections kz over the pencil minimum, and sweep_length
 solves at every kz of a grid.
@@ -23,19 +26,20 @@ solves at every kz of a grid.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .approx import MIN_ALPHA, kz_opt_approx
 from .errors import NonConvergence, UnboundedOptimum
 from .fock import KerrScenario
-from .moments import DisplacementSetting, fano_displaced, fano_forms
+from .moments import FanoForms, fano_forms
 
 # The one tolerance of the solve: a gain 1 - F_min at or below it counts as
 # none, and the zero shift (the cheapest displacement) is returned.
 GAIN_TOL = 1e-12
-# Iteration cap of the golden-section length search; NonConvergence past it.
+# Iteration cap of the golden-section length search and of the Newton steps
+# of the pencil's eigenvalue; NonConvergence past it.
 MAX_ITER = 200
 # Default relative kz tolerance of the length search (the CLI's tol_kz default).
 LENGTH_REL_TOL = 1e-6
@@ -51,28 +55,122 @@ class Optimum:
     beta_magnitude: float
 
 
-def _report(alpha: complex, kz: float, beta: complex) -> Optimum:
-    rep = fano_displaced(KerrScenario(alpha, kz), DisplacementSetting(beta=beta))
-    return Optimum(beta_opt=beta, kz=kz, fano_min=rep.fano,
+def _report(scenario: KerrScenario, forms: FanoForms, beta: complex) -> Optimum:
+    rep = forms.statistics(beta, scenario.abs_alpha_sq)
+    return Optimum(beta_opt=beta, kz=scenario.kz, fano_min=rep.fano,
                    suppression_db=rep.suppression_db, mean_photon=rep.mean,
                    beta_magnitude=abs(beta))
 
 
+def _largest_root(c: float, z: float) -> float:
+    """The larger root of t (c + t) = z^2, without cancellation."""
+    root = math.hypot(c, 2.0 * z)
+    if c < 0.0:
+        return (root - c) / 2.0
+    return 2.0 * abs(z) * (abs(z) / (c + root)) if z else 0.0
+
+
+def _smallest_eigenpair(a) -> tuple[float, tuple[float, float]]:
+    """Smallest eigenvalue lam of a symmetric 3 x 3 matrix A (nested rows),
+    and the last two components of an eigenvector for it, up to scale.
+
+    A is first multiplied by an exact power of two that brings its largest
+    entry into [0.5, 1), so that products of three entries neither overflow
+    nor underflow. One rotation diagonalizes the block A[1:, 1:] to
+    d1 <= d2 = d1 + D (D from a hypot, without cancellation) and turns the
+    border into (z1, z2): an arrowhead matrix, whose characteristic
+    polynomial in the distance t = d1 - lam below d1 is
+
+        P(t) = (c + t) t (D + t) - z1^2 (D + t) - z2^2 t,    c = A00 - d1.
+
+    Its roots are d1 - lam_i, so t* = d1 - lam_min is its largest root, at
+    or above 0 by interlacing. Above t*, P is positive, increasing and
+    convex, so Newton's method from an upper bound falls to it
+    monotonically; it stops where a step no longer lowers t. Two upper
+    bounds come from the secular equation c + t = z1^2 / t + z2^2 / (D + t):
+    replacing the second pole's term by z2^2 / t, or by z2^2 / D, only
+    raises the right side, and so the root. The first is close when
+    t* >> D, the second when t* << D, and the start is the smaller. Working
+    in t keeps lam's digits when lam is far smaller than A's largest entry,
+    as in the graded matrices of the pencil at extreme |alpha| and kz
+    (Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978), solve the same
+    secular equation). The eigenvector is (t, -z1, -z2 t / (D + t)) in the
+    rotated frame; with z1 = 0 and t* = 0 it is the block's (0, 1, 0).
+    """
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
+    top = max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
+    if top == 0.0:
+        return 0.0, (0.0, 0.0)
+    scale = -math.frexp(top)[1]
+    a00, a01, a02, a11, a12, a22 = (math.ldexp(v, scale) for v in (a00, a01, a02, a11, a12, a22))
+    # the block's smaller eigenvalue d1, its eigenvector (vx, vy), and D = d2 - d1
+    half_diff, mid = (a11 - a22) / 2.0, (a11 + a22) / 2.0
+    rad = math.hypot(half_diff, a12)
+    vx, vy = (a12, -(half_diff + rad)) if half_diff >= 0.0 else (rad - half_diff, -a12)
+    norm = math.hypot(vx, vy)
+    vx, vy = (vx / norm, vy / norm) if norm > 0.0 else (1.0, 0.0)
+    if mid > 0.0:
+        d2 = mid + rad
+        d1 = (a11 / d2) * a22 - (a12 / d2) * a12
+    else:
+        d1 = mid - rad
+    gap = 2.0 * rad
+    z1, z2 = vx * a01 + vy * a02, vx * a02 - vy * a01
+    c = a00 - d1
+    zz1, zz2 = z1 * z1, z2 * z2
+    if z1 == 0.0 and c >= 0.0 and c * gap >= zz2:
+        return math.ldexp(d1, -scale), (vx, vy)
+    t = _largest_root(c, math.hypot(z1, z2))
+    if gap > 0.0:
+        t = min(t, _largest_root(c - zz2 / gap, z1))
+    for _ in range(MAX_ITER):
+        ct, gt = c + t, gap + t
+        p = ct * t * gt - zz1 * gt - zz2 * t
+        slope = ct * gt + t * gt + t * ct - zz1 - zz2
+        if not (p > 0.0 and slope > 0.0):
+            break
+        step = t - p / slope
+        if not step < t:
+            break
+        t = step
+    else:
+        raise NonConvergence(f"pencil eigenvalue: Newton exceeded {MAX_ITER} iterations")
+    w = z2 * t / (gap + t) if t else 0.0
+    return math.ldexp(d1 - t, -scale), (-z1 * vx + w * vy, -z1 * vy - w * vx)
+
+
+def _pencil_matrices(forms: FanoForms) -> tuple[tuple, tuple]:
+    """(K', S K' S) as nested rows, for forms with s > 0: the bracket form in
+    gamma, K' = T^T K T with T the map from (1, gamma) to (1, beta), and the
+    symmetric matrix whose smallest eigenvalue is the pencil minimum, with
+    S = diag(1/sqrt(s), 1, 1)."""
+    gr, gi = forms.g1.real, forms.g1.imag
+    k = forms.bracket
+    # row 0 of T^T K, then K' entry by entry; rows 1 and 2 of K' are K's
+    t0 = [k[0][j] - gr * k[1][j] - gi * k[2][j] for j in range(3)]
+    k00 = t0[0] - gr * t0[1] - gi * t0[2]
+    root = math.sqrt(forms.s)
+    a01, a02 = t0[1] / root, t0[2] / root
+    return (((k00, t0[1], t0[2]), (t0[1], k[1][1], k[1][2]), (t0[2], k[2][1], k[2][2])),
+            ((k00 / forms.s, a01, a02), (a01, k[1][1], k[1][2]), (a02, k[2][1], k[2][2])))
+
+
 def _pencil(scenario: KerrScenario):
     """(F_min, u, K', forms) at tau = 1: the pencil minimum 1 + m lambda_min,
-    the (Re gamma, Im gamma) part of its eigenvector, and the bracket form in gamma.
+    the (Re gamma, Im gamma) part of its eigenvector (up to scale), and K'.
     With s == 0 (kz = 0, or 4 |alpha|^2 sin^2 kz underflowing) F == 1 for
-    every shift, and u and K' are None."""
+    every shift, and u and K' are None. So it is taken for an s below the
+    smallest normal double, where K'00 / s and K'0j / sqrt(s) are quotients
+    of subnormal rounding residues. There |alpha|^2 kz, about
+    |alpha| sqrt(s) / 2, is below 7.5e-155 |alpha|, and the gain 1 - F_min,
+    about 4 |alpha|^2 kz while small, stays below GAIN_TOL up to |alpha|
+    of about 3e141; past that the gain is lost."""
     forms = fano_forms(scenario)
-    if forms.s == 0.0:
+    if forms.s < sys.float_info.min:
         return 1.0, None, None, forms
-    g1 = forms.g1
-    t = np.array([[1.0, 0.0, 0.0], [-g1.real, 1.0, 0.0], [-g1.imag, 0.0, 1.0]])
-    k = t.T @ forms.bracket @ t
-    scale = np.array([1.0 / np.sqrt(forms.s), 1.0, 1.0])
-    lam, vecs = np.linalg.eigh(k * np.outer(scale, scale))
-    f_min = 1.0 + scenario.abs_alpha_sq * float(lam[0])
-    return f_min, vecs[1:, 0], k, forms
+    kp, scaled = _pencil_matrices(forms)
+    lam, u = _smallest_eigenpair(scaled)
+    return 1.0 + scenario.abs_alpha_sq * lam, u, kp, forms
 
 
 def optimize_beta(scenario: KerrScenario) -> Optimum:
@@ -87,34 +185,40 @@ def optimize_beta(scenario: KerrScenario) -> Optimum:
         raise ValueError("optimization requires |alpha| > 0")
     f_min, u, k, forms = _pencil(scenario)
     if not 1.0 - f_min > GAIN_TOL:
-        return _report(alpha, kz, 0j)
+        return _report(scenario, forms, 0j)
     s = forms.s
-    norm = float(np.hypot(u[0], u[1]))
+    norm = math.hypot(u[0], u[1])
     # u = (0, 0) puts the optimum at gamma = 0
-    e = u / norm if norm > 0.0 else np.array([1.0, 0.0])
-    b = float(k[0, 1:] @ e) if norm > 0.0 else 0.0
+    if norm > 0.0:
+        e0, e1 = u[0] / norm, u[1] / norm
+        b = k[0][1] * e0 + k[0][2] * e1
+    else:
+        e0, e1, b = 1.0, 0.0, 0.0
     if b == 0.0:
-        rhos = np.array([0.0])
+        rhos = (0.0,)
     else:
         # F along gamma = rho e is stationary where b rho^2 + (a - c s) rho - b s = 0,
         # with a = K'00, c = e^T K'_22 e. The roots multiply to -s, so the small
         # one is taken from the large one.
-        q = float(e @ k[1:, 1:] @ e) * s - k[0, 0]
-        big = (q + np.copysign(np.hypot(q, 2.0 * b * np.sqrt(s)), q)) / (2.0 * b)
-        rhos = np.array([big, -s / big])
-    betas = rhos * complex(e[0], e[1]) - forms.g1
-    fano, _ = forms.evaluate(betas, scenario.abs_alpha_sq)
-    fano = np.where(np.isfinite(fano), fano, np.inf)
-    best = int(np.argmin(fano))
-    if not fano[best] < 1.0:
+        c = e0 * (k[1][1] * e0 + k[1][2] * e1) + e1 * (k[2][1] * e0 + k[2][2] * e1)
+        q = c * s - k[0][0]
+        big = (q + math.copysign(math.hypot(q, 2.0 * b * math.sqrt(s)), q)) / (2.0 * b)
+        rhos = (big, -s / big)
+    best, best_fano = 0j, math.inf
+    for rho in rhos:
+        beta = rho * complex(e0, e1) - forms.g1
+        fano = forms.evaluate(beta, scenario.abs_alpha_sq)
+        if fano < best_fano:
+            best, best_fano = beta, fano
+    if not best_fano < 1.0:
         raise UnboundedOptimum(
             f"alpha = {alpha}, kz = {kz}: the pencil minimum F = {f_min!r} is "
             f"approached only as |beta| grows without bound")
-    return _report(alpha, kz, complex(betas[best]))
+    return _report(scenario, forms, best)
 
 
 def _golden_section(func, lo: float, hi: float, rel_tol: float) -> float:
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - ratio * (hi - lo)
     d = lo + ratio * (hi - lo)
     fc, fd = func(c), func(d)

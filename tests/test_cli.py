@@ -60,6 +60,13 @@ def test_fano_trivial_cases(capsys):
     assert "fano            = 1" in capsys.readouterr().out
 
 
+def test_largest_finite_kerr_phase_still_answers(capsys):
+    # 4 |alpha|^2 kz = 3.6e307 is below MAX_KERR_PHASE, and every phase of
+    # the closed forms stays finite there
+    assert main(["fano", "3", "1e306", "0.1"]) == 0
+    assert "fano            = 1.32487" in capsys.readouterr().out
+
+
 def test_fano_validation_exit_2(capsys):
     assert main(["fano", "bogus", "0.1", "0"]) == 2
     assert "alpha" in capsys.readouterr().err
@@ -565,6 +572,18 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["optimize", "1e20", "--kz", "1e-40"], None,
      "denominator s + |beta + g1|^2 = 3.999999999999999e-40 of F is at or below its "
      "floor DENOM_FLOOR = 1e-15"),
+    (["fano", "1", "1e308", "0.1"], None,
+     "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
+    (["optimize", "3", "--kz", "1e308"], None,
+     "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
+    (["optimize", "1", "--kz", "1e308"], None,
+     "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
+    (["photon-dist", "3", "1e306", "0.1"], None,
+     "kz = 1e+306: the Kerr phase kz n^2 overflows at n = n_trunc = 59"),
+    (["wigner", "3", "1e308", "--resolution", "5"], None,
+     "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
+    (["fano", "1e10", "1e290", "0.1"], None,
+     "kz = 1e+290: the Kerr phase 4 |alpha|^2 kz = inf is above MAX_KERR_PHASE"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -578,7 +597,9 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "config-beta-re", "design-gamma-power-underflow", "design-tau-sigma-underflow",
         "wigner-resolution-1e12", "sweep-kz-points-1e12", "sweep-log-kz-points-1e12",
         "fano-beta-1e300", "fano-mean-overflow", "fano-variance-overflow",
-        "optimize-denominator-floor"])
+        "optimize-denominator-floor", "fano-kz-1e308", "optimize-kz-1e308",
+        "optimize-alpha-1-kz-1e308", "photon-dist-kz-n-squared", "wigner-kz-1e308",
+        "fano-alpha-sq-kz"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

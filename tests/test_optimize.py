@@ -1,11 +1,15 @@
 """Shift and length optimization against published optima, a brute search and the eigenvalue bound."""
 
+import math
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrshift.optimize as optimize_mod
-from kerrshift.approx import kz_app
+from kerrshift.approx import kz_app, kz_opt_approx
 from kerrshift.cli import main
 from kerrshift.errors import NonConvergence, UnboundedOptimum
 from kerrshift.fock import KerrScenario
@@ -201,6 +205,19 @@ def test_underflowing_dephasing_gives_unity():
     assert rayleigh_lower_bound(scenario) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [77.0, 100.0])
+def test_subnormal_dephasing_gives_unity(alpha):
+    # s = 4 |a|^2 sin^2 kz is subnormal here (5.5e-321, 9.2e-321): the scaled
+    # pencil's entries are quotients of rounding residues, and the gain
+    # 4 |a|^2 kz is far below GAIN_TOL
+    scenario = KerrScenario(alpha, 4.8e-163)
+    assert 0.0 < fano_forms(scenario).s < sys.float_info.min
+    opt = optimize_beta(scenario)
+    assert opt.fano_min == 1.0
+    assert opt.beta_opt == 0j
+    assert rayleigh_lower_bound(scenario) == 1.0
+
+
 def test_far_optimum_near_revival_is_finite():
     # just short of the revival the optimum lies at |beta| ~ 1e8 or more
     scenario = KerrScenario(0.5, np.pi - 1e-9)
@@ -219,3 +236,41 @@ def test_unbounded_optimum_is_a_named_error(monkeypatch, capsys):
         optimize_beta(KerrScenario(0.5, 0.1))
     assert main(["optimize", "0.5", "--kz", "0.1"]) == 2
     assert "without bound" in capsys.readouterr().err
+
+
+def test_pencil_eigenvalue_matches_50_digits():
+    # the scalar solve on the double matrix S K' S, against mpmath's
+    # symmetric eigensolver on the same matrix at 50 digits; numpy's eigh
+    # reaches 1.2-1.5 eps max|A_ij| on this grid
+    for alpha in (2.5, 10.0, 50.0, 150.0, 1e3, 1e4, 1e5):
+        for frac in (1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0):
+            forms = fano_forms(KerrScenario(alpha, frac * kz_opt_approx(alpha)))
+            _, matrix = optimize_mod._pencil_matrices(forms)
+            lam, _ = optimize_mod._smallest_eigenpair(matrix)
+            with mpmath.workdps(50):
+                values = mpmath.eigsy(mpmath.matrix(matrix))[0]
+                exact = min(values[i] for i in range(3))
+            top = max(abs(v) for row in matrix for v in row)
+            assert abs(lam - exact) <= 2.0 * sys.float_info.epsilon * top, (alpha, frac)
+
+
+@pytest.mark.parametrize("alpha, kz", [(1e10, 1e-20), (1e75, 1e-150), (1e150, 1e-300)])
+def test_optimum_at_extreme_scales(alpha, kz):
+    # at |alpha|^2 kz = 1 and kz -> 0 the minimum is 9 - 4 sqrt(5). At
+    # (1e150, 1e-300) the scaled pencil is graded: its 2 x 2 block (~1e-299)
+    # sits beside a rounding residue of 3.3e-16 in K'00
+    opt = optimize_beta(KerrScenario(alpha, kz))
+    assert opt.fano_min == pytest.approx(9.0 - 4.0 * math.sqrt(5.0), rel=1e-10)
+
+
+def test_closed_form_commands_never_reach_numpy_linalg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for argv in (["optimize", "30"], ["optimize", "30", "--kz", "0.005"],
+                 ["sweep-length", "30", "--kz-min", "0.001", "--kz-max", "0.01",
+                  "--kz-points", "7"],
+                 ["reproduce", "fig5"]):
+        assert main(argv) == 0, argv
