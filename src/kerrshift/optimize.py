@@ -13,12 +13,13 @@ Matrix Computations, section 8.7). That 3 x 3 eigenvalue is solved in Python
 floats by _smallest_eigenpair: one rotation of the lower 2 x 2 block, then
 Newton's method on the characteristic polynomial of the resulting arrowhead
 matrix, measured from the block's smaller eigenvalue. optimize_beta reads the
-optimal shift from the eigenvector u: beta* = gamma* - g1 with gamma* along
-(u1, u2). When the optimum lies far out (|gamma*| grows like 1/kz), u0 loses
-its relative accuracy, so the distance along that direction is taken from
-the 2 x 2 pencil on the line through gamma = 0, whose stationary points solve
-a quadratic. F, the mean photon number and the suppression are then reported
-from the same forms at beta*; each optimum builds them once.
+optimal shift from the eigenvector u of that solve alone: S u is (1, gamma*)
+up to scale, so gamma* = sqrt(s) (u1 + i u2) / u0 and beta* = gamma* - g1.
+u0 is the Newton variable t = d1 - lambda_min, which the solve carries to its
+relative digits, so the ratio keeps them also where the optimum lies far out
+(|gamma*| grows like 1/kz) and u0 is small beside u1 and u2. F, the mean
+photon number and the suppression are then reported from the same forms at
+beta*; each optimum builds them once.
 
 optimize_length golden-sections kz over the pencil minimum, and sweep_length
 solves at every kz of a grid.
@@ -70,9 +71,9 @@ def _largest_root(c: float, z: float) -> float:
     return 2.0 * abs(z) * (abs(z) / (c + root)) if z else 0.0
 
 
-def _smallest_eigenpair(a) -> tuple[float, tuple[float, float]]:
+def _smallest_eigenpair(a) -> tuple[float, tuple[float, float, float]]:
     """Smallest eigenvalue lam of a symmetric 3 x 3 matrix A (nested rows),
-    and the last two components of an eigenvector for it, up to scale.
+    and an eigenvector (u0, u1, u2) for it, up to scale.
 
     A is first multiplied by an exact power of two that brings its largest
     entry into [0.5, 1), so that products of three entries neither overflow
@@ -95,12 +96,13 @@ def _smallest_eigenpair(a) -> tuple[float, tuple[float, float]]:
     as in the graded matrices of the pencil at extreme |alpha| and kz
     (Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978), solve the same
     secular equation). The eigenvector is (t, -z1, -z2 t / (D + t)) in the
-    rotated frame; with z1 = 0 and t* = 0 it is the block's (0, 1, 0).
+    rotated frame, so u0 = t keeps t's relative digits; with z1 = 0 and
+    t* = 0 it is the block's (0, 1, 0).
     """
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
     top = max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
     if top == 0.0:
-        return 0.0, (0.0, 0.0)
+        return 0.0, (1.0, 0.0, 0.0)
     scale = -math.frexp(top)[1]
     a00, a01, a02, a11, a12, a22 = (math.ldexp(v, scale) for v in (a00, a01, a02, a11, a12, a22))
     # the block's smaller eigenvalue d1, its eigenvector (vx, vy), and D = d2 - d1
@@ -119,7 +121,7 @@ def _smallest_eigenpair(a) -> tuple[float, tuple[float, float]]:
     c = a00 - d1
     zz1, zz2 = z1 * z1, z2 * z2
     if z1 == 0.0 and c >= 0.0 and c * gap >= zz2:
-        return math.ldexp(d1, -scale), (vx, vy)
+        return math.ldexp(d1, -scale), (0.0, vx, vy)
     t = _largest_root(c, math.hypot(z1, z2))
     if gap > 0.0:
         t = min(t, _largest_root(c - zz2 / gap, z1))
@@ -136,41 +138,39 @@ def _smallest_eigenpair(a) -> tuple[float, tuple[float, float]]:
     else:
         raise NonConvergence(f"pencil eigenvalue: Newton exceeded {MAX_ITER} iterations")
     w = z2 * t / (gap + t) if t else 0.0
-    return math.ldexp(d1 - t, -scale), (-z1 * vx + w * vy, -z1 * vy - w * vx)
+    return math.ldexp(d1 - t, -scale), (t, -z1 * vx + w * vy, -z1 * vy - w * vx)
 
 
-def _pencil_matrices(forms: FanoForms) -> tuple[tuple, tuple]:
-    """(K', S K' S) as nested rows, for forms with s > 0: the bracket form in
-    gamma, K' = T^T K T with T the map from (1, gamma) to (1, beta), and the
-    symmetric matrix whose smallest eigenvalue is the pencil minimum, with
-    S = diag(1/sqrt(s), 1, 1)."""
+def _pencil_matrix(forms: FanoForms) -> tuple:
+    """S K' S as nested rows, for forms with s > 0: the bracket form in
+    gamma, K' = T^T K T with T the map from (1, gamma) to (1, beta), scaled
+    by S = diag(1/sqrt(s), 1, 1); its smallest eigenvalue is the pencil
+    minimum. Rows 1 and 2 of K' are K's."""
     gr, gi = forms.g1.real, forms.g1.imag
     k = forms.bracket
-    # row 0 of T^T K, then K' entry by entry; rows 1 and 2 of K' are K's
+    # row 0 of T^T K, then K'00
     t0 = [k[0][j] - gr * k[1][j] - gi * k[2][j] for j in range(3)]
     k00 = t0[0] - gr * t0[1] - gi * t0[2]
     root = math.sqrt(forms.s)
     a01, a02 = t0[1] / root, t0[2] / root
-    return (((k00, t0[1], t0[2]), (t0[1], k[1][1], k[1][2]), (t0[2], k[2][1], k[2][2])),
-            ((k00 / forms.s, a01, a02), (a01, k[1][1], k[1][2]), (a02, k[2][1], k[2][2])))
+    return ((k00 / forms.s, a01, a02), (a01, k[1][1], k[1][2]), (a02, k[2][1], k[2][2]))
 
 
 def _pencil(scenario: KerrScenario):
-    """(F_min, u, K', forms) at tau = 1: the pencil minimum 1 + m lambda_min,
-    the (Re gamma, Im gamma) part of its eigenvector (up to scale), and K'.
-    With s == 0 (kz = 0, or 4 |alpha|^2 sin^2 kz underflowing) F == 1 for
-    every shift, and u and K' are None. So it is taken for an s below the
-    smallest normal double, where K'00 / s and K'0j / sqrt(s) are quotients
-    of subnormal rounding residues. There |alpha|^2 kz, about
-    |alpha| sqrt(s) / 2, is below 7.5e-155 |alpha|, and the gain 1 - F_min,
-    about 4 |alpha|^2 kz while small, stays below GAIN_TOL up to |alpha|
-    of about 3e141; past that the gain is lost."""
+    """(F_min, u, forms) at tau = 1: the pencil minimum 1 + m lambda_min and
+    its eigenvector u of S K' S (up to scale). With s == 0 (kz = 0, or
+    4 |alpha|^2 sin^2 kz underflowing) F == 1 for every shift, and u is
+    None. So it is taken for an s below the smallest normal double, where
+    K'00 / s and K'0j / sqrt(s) are quotients of subnormal rounding
+    residues. There |alpha|^2 kz, about |alpha| sqrt(s) / 2, is below
+    7.5e-155 |alpha|, and the gain 1 - F_min, about 4 |alpha|^2 kz while
+    small, stays below GAIN_TOL up to |alpha| of about 3e141; past that the
+    gain is lost."""
     forms = fano_forms(scenario)
     if forms.s < sys.float_info.min:
-        return 1.0, None, None, forms
-    kp, scaled = _pencil_matrices(forms)
-    lam, u = _smallest_eigenpair(scaled)
-    return 1.0 + scenario.abs_alpha_sq * lam, u, kp, forms
+        return 1.0, None, forms
+    lam, u = _smallest_eigenpair(_pencil_matrix(forms))
+    return 1.0 + scenario.abs_alpha_sq * lam, u, forms
 
 
 def optimize_beta(scenario: KerrScenario) -> Optimum:
@@ -183,38 +183,20 @@ def optimize_beta(scenario: KerrScenario) -> Optimum:
     alpha, kz = scenario.alpha, scenario.kz
     if abs(alpha) <= 0:
         raise ValueError("optimization requires |alpha| > 0")
-    f_min, u, k, forms = _pencil(scenario)
+    f_min, u, forms = _pencil(scenario)
     if not 1.0 - f_min > GAIN_TOL:
         return _report(scenario, forms, 0j)
-    s = forms.s
-    norm = math.hypot(u[0], u[1])
-    # u = (0, 0) puts the optimum at gamma = 0
-    if norm > 0.0:
-        e0, e1 = u[0] / norm, u[1] / norm
-        b = k[0][1] * e0 + k[0][2] * e1
-    else:
-        e0, e1, b = 1.0, 0.0, 0.0
-    if b == 0.0:
-        rhos = (0.0,)
-    else:
-        # F along gamma = rho e is stationary where b rho^2 + (a - c s) rho - b s = 0,
-        # with a = K'00, c = e^T K'_22 e. The roots multiply to -s, so the small
-        # one is taken from the large one.
-        c = e0 * (k[1][1] * e0 + k[1][2] * e1) + e1 * (k[2][1] * e0 + k[2][2] * e1)
-        q = c * s - k[0][0]
-        big = (q + math.copysign(math.hypot(q, 2.0 * b * math.sqrt(s)), q)) / (2.0 * b)
-        rhos = (big, -s / big)
-    best, best_fano = 0j, math.inf
-    for rho in rhos:
-        beta = rho * complex(e0, e1) - forms.g1
-        fano = forms.evaluate(beta, scenario.abs_alpha_sq)
-        if fano < best_fano:
-            best, best_fano = beta, fano
-    if not best_fano < 1.0:
+    # S u = (u0 / sqrt(s), u1, u2) is (1, gamma*) up to scale; u0 = 0 puts
+    # gamma* at infinity, and a ratio that overflows puts it past 1e154,
+    # where F evaluates to nan
+    u0, u1, u2 = u
+    root = math.sqrt(forms.s)
+    beta = complex(root * (u1 / u0), root * (u2 / u0)) - forms.g1 if u0 else None
+    if beta is None or not forms.evaluate(beta, scenario.abs_alpha_sq) < 1.0:
         raise UnboundedOptimum(
             f"alpha = {alpha}, kz = {kz}: the pencil minimum F = {f_min!r} is "
             f"approached only as |beta| grows without bound")
-    return _report(scenario, forms, best)
+    return _report(scenario, forms, beta)
 
 
 def _golden_section(func, lo: float, hi: float, rel_tol: float) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import floor, log10
 from typing import NamedTuple
 
 
@@ -62,5 +63,4 @@ def round_sig(value: float, digits: int = 2) -> float:
     """Round to a number of significant figures (for printed-precision checks)."""
     if value == 0:
         return 0.0
-    from math import floor, log10
     return round(value, -int(floor(log10(abs(value)))) + digits - 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import reference
+from . import __version__, reference
 from .approx import f1_short, f2_near_opt, f_min_approx, f_piecewise, kz_app, kz_opt_approx
 from .optimize import optimize_length, sweep_length
 from .reference import round_sig
@@ -44,7 +44,6 @@ FIG5_ALPHAS = (10.0, 20.0, 30.0, 50.0, 70.0, 100.0)
 def _meta(target: str, config: dict, **results) -> dict:
     """Artifact meta: the inputs that reproduce the run under "config",
     computed values and notes at the top level (the CLI command convention)."""
-    from . import __version__
     return {"command": "reproduce", "target": target, "package": "kerrshift",
             "version": __version__, "config": config, **results}
 

@@ -241,17 +241,26 @@ def test_unbounded_optimum_is_a_named_error(monkeypatch, capsys):
 def test_pencil_eigenvalue_matches_50_digits():
     # the scalar solve on the double matrix S K' S, against mpmath's
     # symmetric eigensolver on the same matrix at 50 digits; numpy's eigh
-    # reaches 1.24 eps max|A_ij| on this grid
+    # reaches 1.24 eps max|A_ij| on this grid. The optimal shift
+    # gamma* = sqrt(s) (u1 + i u2) / u0 read from the eigenvector is checked
+    # the same way, relative to |gamma*|
+    eps = sys.float_info.epsilon
     for alpha in (2.5, 10.0, 50.0, 150.0, 1e3, 1e4, 1e5):
         for frac in (1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0):
             forms = fano_forms(KerrScenario(alpha, frac * kz_opt_approx(alpha)))
-            _, matrix = optimize_mod._pencil_matrices(forms)
-            lam, _ = optimize_mod._smallest_eigenpair(matrix)
+            matrix = optimize_mod._pencil_matrix(forms)
+            lam, (u0, u1, u2) = optimize_mod._smallest_eigenpair(matrix)
+            root = math.sqrt(forms.s)
+            gamma = complex(root * (u1 / u0), root * (u2 / u0))
             with mpmath.workdps(50):
-                values = mpmath.eigsy(mpmath.matrix(matrix))[0]
-                exact = min(values[i] for i in range(3))
+                values, vectors = mpmath.eigsy(mpmath.matrix(matrix))
+                i = min(range(3), key=lambda j: values[j])
+                scale = mpmath.sqrt(forms.s) / vectors[0, i]
+                exact = mpmath.mpc(vectors[1, i] * scale, vectors[2, i] * scale)
+                gamma_error = float(abs(gamma - exact) / abs(exact))
             top = max(abs(v) for row in matrix for v in row)
-            assert abs(lam - exact) <= 2.0 * sys.float_info.epsilon * top, (alpha, frac)
+            assert abs(lam - values[i]) <= 2.0 * eps * top, (alpha, frac)
+            assert gamma_error <= 8.0 * eps, (alpha, frac)
 
 
 @pytest.mark.parametrize("alpha, kz", [(1e10, 1e-20), (1e75, 1e-150), (1e150, 1e-300)])
