@@ -59,7 +59,7 @@ from .waveguide import (
     load_preset,
     z_opt_physical,
 )
-from .wigner import auto_window, wigner
+from .wigner import auto_window, narrowest_width, wigner
 
 
 class CliError(ValueError):
@@ -274,12 +274,19 @@ def cmd_wigner(args, config: dict):
     grid = wigner(state, center=center, half_width=half_width, resolution=args.resolution)
 
     integral, w_max = grid.integral(), float(grid.values.max())
+    step, width = 2.0 * half_width / (args.resolution - 1), narrowest_width(state)
+    resolved = step <= width
+    if not resolved:
+        print(f"warning: grid step {step:.3g} exceeds the state's narrowest width "
+              f"{width:.3g}, so the map does not resolve it; raise --resolution or "
+              f"narrow --half-width", file=sys.stderr)
     meta = _meta("wigner", {"alpha_re": alpha.real, "alpha_im": alpha.imag, "kz": kz,
                             "beta_re": beta.real, "beta_im": beta.imag,
                             "center_re": center.real, "center_im": center.imag,
                             "half_width": half_width, "resolution": args.resolution},
                  shift_re=shift.real, shift_im=shift.imag, integral=integral,
-                 w_max=w_max, n_trunc=state.n_trunc, imag_residue=grid.imag_residue)
+                 w_max=w_max, n_trunc=state.n_trunc, grid_step=step,
+                 narrowest_width=width, resolved=resolved)
     human = [f"grid {args.resolution}x{args.resolution}, window half-width {half_width:.6g}",
              f"integral = {integral:.6g}, max W = {w_max:.6g}"]
     # values[i, j] sits at xs[i] + i ys[j]

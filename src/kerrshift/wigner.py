@@ -18,11 +18,18 @@ Poisson summation the trapezoid sum equals sum_j W(q, p + j pi/h); a step
 h < pi / (max|p| + R) pushes every image j != 0 outside the support, where W
 is negligible. Without that rule the sum aliases.
 
+The kernel K_k = psi*(q + s_k) psi(q - s_k) is Hermitian in k, K_{-k} =
+conj(K_k), so W is real by construction and the sum folds onto k >= 1:
+
+    W ~ (4h/pi) [|psi(q)|^2 / 2 + sum_{k>=1} (Re K_k cos 2p s_k - Im K_k sin 2p s_k)].
+
 Lattice rule: a grid with q_i = q_0 + i dq takes h = dq/m with the smallest
 whole m meeting the aliasing bound, so every q_i +- s_k is a point of one
-lattice q_0 + l h. psi is evaluated once on that lattice, and W on the grid is
-one (res x S) . (S x res) matrix product, done in row blocks. A scattered
-point is a 1 x 1 grid.
+lattice q_0 + l h. psi is evaluated once on that lattice. The folded sum on
+the grid is one real matrix product per block of rows: the K_k of a row,
+viewed as interleaved (Re, Im) floats, times the (2K x res) matrix of
+interleaved rows (cos 2p s_k, -sin 2p s_k). A scattered point is a 1 x 1
+grid.
 
 psi comes from the upward Hermite-function recurrence
 
@@ -41,17 +48,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalOverflow, StateTooLarge
-from .fock import FockState, photon_distribution
+from .errors import NumericalOverflow, StateTooLarge, ZeroMeanPhoton
+from .fock import FockState, photon_distribution, photon_statistics
 
 # Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
 SUPPORT_MARGIN = 10.0
-# Byte limit on each complex array of a map: the (S x resolution) phase
-# matrix e^{2i p_j s_k}, psi over the lattice, which outgrows it when the
-# window is far wider than the state, and the (resolution x resolution) grid
-# of W, which outgrows both once resolution > S. A 401^2 map of the alpha = 30
-# optimum (N = 1343) needs 29 MB of phase matrix; a 4096^2 grid fills the limit.
+# Byte limit on each large array of a map, each counted at 16 B a cell over
+# S = 2K + 1 shifts: the "phase matrix" of S x resolution cells holds the
+# 2K x resolution floats (cos, -sin) of the folded sum; the complex psi over
+# the lattice outgrows it when the window is far wider than the state; the
+# "grid" of resolution x resolution cells holds the real W, which outgrows
+# both once resolution > S. Each count bounds its array from above. A 401^2
+# map of the alpha = 30 optimum (N = 1343) counts 29 MB of phase matrix; a
+# 4096^2 grid fills the limit.
 MAX_WIGNER_BYTES = 2 ** 28
 # Rows of the psi*(q+s) psi(q-s) kernel are built in blocks of at most this many bytes.
 BLOCK_BYTES = 2 ** 24
@@ -69,7 +80,6 @@ class WignerGrid:
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-    imag_residue: float
 
     def integral(self) -> float:
         dx = (self.xs[-1] - self.xs[0]) / (len(self.xs) - 1)
@@ -96,9 +106,8 @@ def _wavefunction(amplitudes: np.ndarray, q: np.ndarray) -> np.ndarray:
     return psi * np.exp(scale)
 
 
-def _wigner_grid(state: FockState, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
-    """W on the grid xs x ys (each uniform, values[i, j] at xs[i] + i ys[j]),
-    and the largest |Im W| before the real part is taken."""
+def _wigner_grid(state: FockState, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """W on the grid xs x ys (each uniform), values[i, j] at xs[i] + i ys[j]."""
     radius = np.sqrt(2.0 * state.n_trunc + 1.0) + SUPPORT_MARGIN
     q = np.sqrt(2.0) * xs
     p = np.sqrt(2.0) * ys
@@ -118,28 +127,37 @@ def _wigner_grid(state: FockState, xs: np.ndarray, ys: np.ndarray) -> tuple[np.n
                 f"its {what} needs {16.0 * cells:.4g} B, above the limit "
                 f"MAX_WIGNER_BYTES = {MAX_WIGNER_BYTES} B")
     m, k_max = int(m), int(k_max)
-    ks = np.arange(-k_max, k_max + 1)
+    ks = np.arange(1, k_max + 1)
 
     lattice = q[0] + h * np.arange(-k_max, (len(q) - 1) * m + k_max + 1)
     inside = np.abs(lattice) <= radius
     psi = np.zeros(len(lattice), dtype=complex)
     psi[inside] = _wavefunction(state.amplitudes, lattice[inside])
 
-    phase = np.exp(2j * np.outer(h * ks, p))
-    centre = m * np.arange(len(q)) + k_max
-    rows = max(1, BLOCK_BYTES // (16 * len(ks)))
-    total = np.empty((len(q), len(p)), dtype=complex)
+    # rows (cos 2p s_k, -sin 2p s_k), written in place from -2p s_k
+    trig = np.empty((k_max, 2, len(p)))
+    np.multiply.outer(-2.0 * h * ks, p, out=trig[:, 1])
+    np.cos(trig[:, 1], out=trig[:, 0])
+    np.sin(trig[:, 1], out=trig[:, 1])
+    trig = trig.reshape(2 * k_max, len(p))
+    # q_i sits at lattice index m i + K: row i of psi(q_i + s_k) and of
+    # psi(q_i - s_k), k = 1..K, are strided views of psi's windows of K
+    windows = sliding_window_view(psi, k_max)
+    plus, minus = windows[k_max + 1::m], windows[::m][:len(q), ::-1]
+    rows = max(1, BLOCK_BYTES // (16 * k_max))
+    kern = np.empty((min(rows, len(q)), k_max), dtype=complex)
+    total = np.empty((len(q), len(p)))
     for start in range(0, len(q), rows):
-        at = centre[start:start + rows, None]
-        total[start:start + rows] = (np.conj(psi[at + ks]) * psi[at - ks]) @ phase
-    total *= 2.0 * h / np.pi
+        stop = min(start + rows, len(q))
+        block = np.conjugate(plus[start:stop], out=kern[:stop - start])
+        block *= minus[start:stop]
+        np.matmul(block.view(float), trig, out=total[start:stop])
+    total += 0.5 * np.abs(psi[k_max::m][:len(q), None]) ** 2
+    total *= 4.0 * h / np.pi
 
     if not np.all(np.isfinite(total)):
         raise NumericalOverflow("non-finite Wigner values; scaling exhausted")
-    residue = float(np.max(np.abs(total.imag)))
-    if residue > 1e-10:
-        raise NumericalOverflow(f"imaginary residue {residue} above 1e-10")
-    return total.real, residue
+    return total
 
 
 def wigner_at(state: FockState, points: np.ndarray) -> np.ndarray:
@@ -147,8 +165,8 @@ def wigner_at(state: FockState, points: np.ndarray) -> np.ndarray:
     w = np.asarray(points, dtype=complex)
     values = np.empty(w.shape)
     for index, point in np.ndenumerate(w):
-        grid, _ = _wigner_grid(state, np.array([point.real]), np.array([point.imag]))
-        values[index] = grid[0, 0]
+        values[index] = _wigner_grid(state, np.array([point.real]),
+                                     np.array([point.imag]))[0, 0]
     return values
 
 
@@ -171,8 +189,7 @@ def wigner(state: FockState, center: complex, half_width: float,
         raise ValueError(f"center must be finite, got {center}")
     xs = center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)
-    values, residue = _wigner_grid(state, xs, ys)
-    return WignerGrid(xs, ys, values, residue)
+    return WignerGrid(xs, ys, _wigner_grid(state, xs, ys))
 
 
 def auto_window(state: FockState) -> tuple[complex, float]:
@@ -186,3 +203,16 @@ def auto_window(state: FockState) -> tuple[complex, float]:
     cum = np.cumsum(photon_distribution(state))
     n_hi = int(np.searchsorted(cum, 1.0 - AUTO_QUANTILE)) + 1
     return 0j, float(np.sqrt(n_hi) + AUTO_MARGIN)
+
+
+def narrowest_width(state: FockState) -> float:
+    """The radial width sqrt(Var n) / (2 sqrt<n>) of the state's ring in phase
+    space: at radius r = sqrt(n) a spread dn in n is a spread dn / (2 sqrt n)
+    in r. A coherent state gives 1/2 at every amplitude, and the vacuum, where
+    <n> = 0, takes that limit. A grid step above it leaves the map unresolved.
+    """
+    try:
+        stats = photon_statistics(state)
+    except ZeroMeanPhoton:
+        return 0.5
+    return float(np.sqrt(stats.variance) / (2.0 * np.sqrt(stats.mean)))

@@ -136,7 +136,24 @@ def test_wigner_artifact_and_normalization(tmp_path):
     values = payload["data"]["values"]
     assert len(values) == 161 and len(values[0]) == 161
     assert payload["meta"]["n_trunc"] == 44
-    assert 0.0 <= payload["meta"]["imag_residue"] < 1e-12
+
+
+def test_wigner_says_when_the_map_is_not_resolved(tmp_path, capsys):
+    # the grid step 2 half_width / (resolution - 1) against the radial width
+    # sqrt(Var n) / (2 sqrt<n>): 0.108 against 1/2 for an undisplaced Kerr
+    # state, 0.158 against 0.071 for the amplitude-squeezed alpha = 10 optimum
+    opt = length_optimum(10.0)
+    cases = ((["5", "0.08"], True),
+             (["10", repr(opt.kz), "--beta", repr(opt.beta_opt)], False))
+    for args, resolved in cases:
+        code, out = run(["wigner", *args], tmp_path, "wig.json")
+        assert code == 0
+        meta = read_json(out)["meta"]
+        assert meta["resolved"] is resolved
+        assert meta["grid_step"] == 2.0 * meta["config"]["half_width"] / 200
+        assert (meta["grid_step"] <= meta["narrowest_width"]) is resolved
+        err = capsys.readouterr().err
+        assert ("warning: grid step" in err) is not resolved
 
 
 def test_wigner_rejects_an_empty_window(tmp_path, capsys):

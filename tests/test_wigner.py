@@ -19,7 +19,13 @@ from kerrshift.fock import (
     photon_distribution,
 )
 from kerrshift.moments import DisplacementSetting, shift_amplitude
-from kerrshift.wigner import MAX_WIGNER_BYTES, auto_window, wigner, wigner_at
+from kerrshift.wigner import (
+    MAX_WIGNER_BYTES,
+    auto_window,
+    narrowest_width,
+    wigner,
+    wigner_at,
+)
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -98,9 +104,9 @@ def test_wigner_rejects_large_states():
 
 
 def test_wigner_bounds_the_grid():
-    # the res x res complex grid of W is checked first, before the window is
-    # laid out: 4096^2 fills MAX_WIGNER_BYTES and passes on to the phase
-    # matrix check, 4097^2 is refused for its grid
+    # the res x res grid of W, counted at 16 B a cell, is checked first,
+    # before the window is laid out: 4096^2 fills MAX_WIGNER_BYTES and passes
+    # on to the phase matrix check, 4097^2 is refused for its grid
     state = coherent_state(1.0)
     with pytest.raises(StateTooLarge, match="its phase matrix needs"):
         wigner(state, 1.0 + 0j, 6.0, 4096)
@@ -163,7 +169,39 @@ def test_grid_equals_pointwise_values():
     i, j = rng.integers(0, 31, 10), rng.integers(0, 31, 10)
     points = grid.xs[i] + 1j * grid.ys[j]
     assert np.allclose(wigner_at(state, points), grid.values[i, j], rtol=0, atol=1e-13)
-    assert 0.0 <= grid.imag_residue < 1e-13
+
+
+def unfolded_wigner(state, xs, ys):
+    """W on the grid by the complex sum over every shift -K..K, from psi on
+    the same lattice as the folded sum, with the largest |Im W| it leaves."""
+    radius = np.sqrt(2.0 * state.n_trunc + 1.0) + wigner_module.SUPPORT_MARGIN
+    q, p = np.sqrt(2.0) * xs, np.sqrt(2.0) * ys
+    dq = (q[-1] - q[0]) / (len(q) - 1)
+    m = np.floor(dq / (np.pi / (np.max(np.abs(p)) + radius))) + 1.0
+    h = dq / m
+    m, k_max = int(m), int(np.ceil(radius / h))
+    ks = np.arange(-k_max, k_max + 1)
+    lattice = q[0] + h * np.arange(-k_max, (len(q) - 1) * m + k_max + 1)
+    inside = np.abs(lattice) <= radius
+    psi = np.zeros(len(lattice), dtype=complex)
+    psi[inside] = wigner_module._wavefunction(state.amplitudes, lattice[inside])
+    at = m * np.arange(len(q))[:, None] + k_max
+    total = (np.conj(psi[at + ks]) * psi[at - ks]) @ np.exp(2j * np.outer(h * ks, p))
+    return 2.0 * h / np.pi * total.real, float(np.max(np.abs(total.imag)))
+
+
+@pytest.mark.parametrize("state, center, half_width", [
+    # an off-centre window on a displaced Kerr state
+    (displace(kerr_evolve(coherent_state(3.0), 0.07), 0.4 - 0.9j), 0.3 - 1.1j, 3.0),
+    # |q| > 38, where psi's log-scale rescaling runs
+    (coherent_state(40.0 - 3.0j), 40.0 - 3.0j, 1.5),
+])
+def test_folded_sum_equals_the_unfolded_sum(state, center, half_width):
+    grid = wigner(state, center=center, half_width=half_width, resolution=21)
+    expected, imag_residue = unfolded_wigner(state, grid.xs, grid.ys)
+    scale = np.max(np.abs(expected))
+    assert imag_residue < 1e-14 * scale
+    assert np.max(np.abs(grid.values - expected)) <= 1e-14 * scale
 
 
 def test_wide_window_does_not_alias():
@@ -213,6 +251,18 @@ def test_auto_window_covers_support():
     n_hi = half - 3.0
     probs = np.abs(state.amplitudes) ** 2
     assert probs[int(n_hi ** 2):].sum() < 1e-8
+
+
+def test_narrowest_width():
+    # sqrt(Var n) / (2 sqrt<n>): 1/2 for any coherent state and its vacuum
+    # limit, and the amplitude-squeezed alpha = 10 optimum is 7 times narrower
+    assert narrowest_width(coherent_state(5.0 - 1.0j)) == pytest.approx(0.5, rel=1e-12)
+    assert narrowest_width(coherent_state(0.0)) == 0.5
+    opt = length_optimum(10.0)
+    state = displace(kerr_evolve(coherent_state(10.0), opt.kz),
+                     shift_amplitude(KerrScenario(10.0, opt.kz),
+                                     DisplacementSetting(beta=opt.beta_opt)))
+    assert narrowest_width(state) == pytest.approx(0.0712, abs=1e-4)
 
 
 def test_grid_metadata():
