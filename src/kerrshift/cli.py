@@ -47,7 +47,7 @@ from .fock import (
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
 from .optimize import LENGTH_REL_TOL, optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
-from .serialize import Artifact, Grid, read_key_values
+from .serialize import Artifact, read_key_values
 from .waveguide import (
     BeamSpec,
     WaveguideSpec,
@@ -289,8 +289,7 @@ def cmd_wigner(args, config: dict):
                  narrowest_width=width, resolved=resolved)
     human = [f"grid {args.resolution}x{args.resolution}, window half-width {half_width:.6g}",
              f"integral = {integral:.6g}, max W = {w_max:.6g}"]
-    # values[i, j] sits at xs[i] + i ys[j]
-    return Artifact(meta, ["x", "y", "w"], Grid(grid.xs, grid.ys, grid.values)), human
+    return Artifact(meta, ["x", "y", "w"], grid), human
 
 
 def cmd_photon_dist(args, config: dict):

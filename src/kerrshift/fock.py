@@ -5,9 +5,9 @@ States are plain amplitude vectors c_n over n = 0..n_trunc; every operation is
 a pure function returning a fresh, normalized state. It needs only numpy and
 the standard library.
 
-The Poisson weights e^{-r^2/2} r^n / sqrt(n!) of the coherent state, of
-column 0 of the displacement and of poisson_probabilities() all come from
-one ratio product, _column_zero().
+The Poisson weights e^{-r^2/2} r^n / sqrt(n!) of the coherent state and
+of its tail past the basis, of column 0 of the displacement and of
+poisson_probabilities() all come from one ratio product, _column_zero().
 
 The displacement D(delta) is applied without forming its matrix: the
 Cahill-Glauber three-term recurrence for the matrix elements (Phys. Rev. 177,
@@ -15,9 +15,10 @@ Cahill-Glauber three-term recurrence for the matrix elements (Phys. Rev. 177,
 diagonals sized from Szegő's bound on the Laguerre polynomials, each
 diagonal carrying its own binary exponent. The run starts a band below the
 state's support, seeded there by Miller's downward recurrence in the order,
-and not at column 0. Memory is O(n_max), so states up to
-|alpha| = MAX_AMPLITUDE = 200 (about 4.3e4 levels) displace within
-DISPLACE_DEFECT_TOL.
+and not at column 0. Memory is O(n_max), so a state displaces within
+DISPLACE_DEFECT_TOL wherever its target basis fits MAX_FOCK_DIM levels:
+for sqrt(<n>) + |delta| up to about 240, which takes in the length optimum
+at |alpha| = MAX_AMPLITUDE = 200 (about 4.3e4 levels).
 """
 
 from __future__ import annotations
@@ -74,20 +75,6 @@ _BAND_TOL = 1e-20
 # displace() starts a band below the last n where the state's mass below n
 # is at most this.
 _SUPPORT_TOL = 1e-30
-
-
-def _poisson_tail(lam: float, n: int) -> float:
-    """P(N > n) for N ~ Poisson(lam) and n + 2 > lam: the first term from
-    one lgamma, each later one from the last by the ratio lam / j. These
-    ratios are at most lam / (n + 2), so the sum stops where they have taken
-    the terms below 1e-17 of the first.
-    """
-    if lam == 0.0:
-        return 0.0
-    steps = 1 + math.ceil(math.log(1e-17) / math.log(lam / (n + 2.0)))
-    first = math.exp(-lam + (n + 1.0) * math.log(lam) - math.lgamma(n + 2.0))
-    ratios = lam / np.arange(n + 2, n + 1 + steps, dtype=float)
-    return first * (1.0 + float(np.sum(np.cumprod(ratios))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,16 +146,18 @@ def coherent_state(alpha: complex) -> FockState:
     relative of their exact values above 1e-15. The basis ends at
     n_trunc = _levels(|a|). There the Poisson tail P(n > n_trunc) is at most
     6.2e-24 for every |a| <= MAX_AMPLITUDE, largest at |a| = 200; it is
-    reported as tail_mass.
+    reported as tail_mass, the sum of the squares of the same column run on
+    to _levels(|a| + 2), past which the rest of the tail is below 1e-21 of it.
     """
     a = abs(alpha)
     if a > MAX_AMPLITUDE:
         raise AmplitudeTooLarge(
             f"|alpha| = {a} exceeds the Fock engine cap {MAX_AMPLITUDE}")
     n_trunc = _levels(a)
+    weights = np.ldexp(*_column_zero(a, _levels(a + 2.0) + 1))
     phase = np.exp(1j * np.angle(alpha) * np.arange(n_trunc + 1))
-    return _normalized(np.ldexp(*_column_zero(a, n_trunc + 1)) * phase,
-                       _poisson_tail(a * a, n_trunc))
+    return _normalized(weights[:n_trunc + 1] * phase,
+                       math.fsum((weights[n_trunc + 1:] ** 2).tolist()))
 
 
 def kerr_evolve(state: FockState, kz: float) -> FockState:
@@ -510,8 +499,10 @@ def displace(state: FockState, delta: complex) -> FockState:
     2 sqrt(1e-30), D being unitary; _columns() starts at 0 where n_s < |delta|^2.
     A block of columns does both products with one skewed (block x band)
     matrix. The per-diagonal exponents of _columns() keep every diagonal out
-    of underflow, so states up to |alpha| = MAX_AMPLITUDE displace: the
-    alpha = 200 length optimum takes 43306 levels and a band of 1792
+    of underflow, so a state displaces wherever n_max + 1 fits MAX_FOCK_DIM,
+    for sqrt(<n>) + |delta| up to about 240; past it TruncationUnachievable
+    is raised before any column is run. The alpha = 200 length optimum
+    (|alpha| = MAX_AMPLITUDE) takes 43306 levels and a band of 1792
     diagonals (2581 to the edge), starts at column 35 937 of 42 020, and
     leaves a norm defect of 7e-14. On a 2-core Xeon host that displace()
     call takes 0.3-0.4 s (2.0 s from column 0), and the process peaks at
@@ -530,7 +521,8 @@ def displace(state: FockState, delta: complex) -> FockState:
     n_max = max(state.n_trunc + int(np.ceil(10.0 * (abs(delta) + 1.0))), _levels(r))
     if n_max + 1 > MAX_FOCK_DIM:
         raise TruncationUnachievable(
-            f"displacement needs {n_max + 1} levels, cap is {MAX_FOCK_DIM}")
+            f"displacement by |delta| = {abs(delta):.6g} needs {n_max + 1} levels, "
+            f"above the limit MAX_FOCK_DIM = {MAX_FOCK_DIM}")
     band = _band(abs(delta), n_max, state.n_trunc)
     # the columns below n_lo carry at most 1e-30 of the state's mass
     n_lo = int(np.searchsorted(np.cumsum(probs), _SUPPORT_TOL, side="right"))

@@ -219,7 +219,7 @@ def _golden_section(func, lo: float, hi: float, rel_tol: float) -> float:
 
 
 def optimize_length(alpha: complex, rel_tol: float = LENGTH_REL_TOL) -> Optimum:
-    """Minimize over the medium length: kz -> the pencil minimum at (alpha, kz).
+    """Minimize over the medium length: kz -> rayleigh_lower_bound at (alpha, kz).
 
     Golden-section search on [0.2, 2.5] times the analytic length estimate,
     to a relative kz tolerance of rel_tol within MAX_ITER iterations; the
@@ -228,7 +228,7 @@ def optimize_length(alpha: complex, rel_tol: float = LENGTH_REL_TOL) -> Optimum:
     if abs(alpha) < MIN_ALPHA:
         raise ValueError(f"optimize_length requires |alpha| >= {MIN_ALPHA:g}")
     kz_scale = kz_opt_approx(abs(alpha))
-    kz_best = _golden_section(lambda kz: _pencil(KerrScenario(alpha, kz))[0],
+    kz_best = _golden_section(lambda kz: rayleigh_lower_bound(KerrScenario(alpha, kz)),
                               0.2 * kz_scale, 2.5 * kz_scale, rel_tol)
     return optimize_beta(KerrScenario(alpha, kz_best))
 

@@ -8,13 +8,13 @@ artifacts carry it under the top-level 'meta' key.
 A table is a list of lists, with cells of any type; a real numpy array,
 1-D or 2-D in JSON and 2-D as Artifact rows; or a Grid, the rows
 (xs[i], ys[j], values[i, j]) of a 2-D function, which JSON keeps as its two
-axes and its values. An array is rendered in blocks of whole rows, about
-BLOCK_CELLS cells each, every block through one '%'-template, so the
-formatting runs in C with no per-cell Python dispatch. A Grid formats each
-axis value once and puts it in the template as text; only its values are
-filled in. Every array cell is written '%.17g', which is fmt_float's text for
-every double (-0, inf and nan included); integral values below 2**53 print
-as integers.
+axes and its values. wigner.wigner() returns its map as a Grid. An array is
+rendered in blocks of whole rows, about BLOCK_CELLS cells each, every block
+through one '%'-template, so the formatting runs in C with no per-cell
+Python dispatch. A Grid formats each axis value once and puts it in the
+template as text; only its values are filled in. Every array cell is
+written '%.17g', which is fmt_float's text for every double (-0, inf and
+nan included); integral values below 2**53 print as integers.
 
 Artifact.write sends those blocks to a stream one at a time, so writing a
 table holds one block of its text, not all of it; Artifact.render joins the
@@ -96,6 +96,11 @@ class Grid:
         if _real_array(self.values, ndims=(2,)).shape != (len(self.xs), len(self.ys)):
             raise ValueError(f"grid values of shape {self.values.shape} do not "
                              f"match axes of {len(self.xs)} and {len(self.ys)} points")
+
+    def integral(self) -> float:
+        dx = (self.xs[-1] - self.xs[0]) / (len(self.xs) - 1)
+        dy = (self.ys[-1] - self.ys[0]) / (len(self.ys) - 1)
+        return float(self.values.sum() * dx * dy)
 
     def csv_blocks(self):
         """The CSV rows in blocks of whole x-rows. Each axis value is

@@ -45,13 +45,12 @@ its scale raised by log _RESCALE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalOverflow, StateTooLarge, ZeroMeanPhoton
 from .fock import FockState, photon_distribution, photon_statistics
+from .serialize import Grid
 
 # Beyond sqrt(2N + 1) + 10 every Hermite function phi_n, n <= N, is below 1e-20.
 SUPPORT_MARGIN = 10.0
@@ -71,20 +70,6 @@ _RESCALE = 1e150
 # margin added to the radius sqrt(n_hi)
 AUTO_QUANTILE = 1e-9
 AUTO_MARGIN = 3.0
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    """W on the grid xs x ys, values[i, j] at xs[i] + i ys[j]."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    values: np.ndarray
-
-    def integral(self) -> float:
-        dx = (self.xs[-1] - self.xs[0]) / (len(self.xs) - 1)
-        dy = (self.ys[-1] - self.ys[0]) / (len(self.ys) - 1)
-        return float(self.values.sum() * dx * dy)
 
 
 def _wavefunction(amplitudes: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -171,9 +156,10 @@ def wigner_at(state: FockState, points: np.ndarray) -> np.ndarray:
 
 
 def wigner(state: FockState, center: complex, half_width: float,
-           resolution: int) -> WignerGrid:
+           resolution: int) -> Grid:
     """Wigner function on the resolution x resolution grid of the square of
-    half-width half_width about center. auto_window gives a window that holds
+    half-width half_width about center, as the Grid its artifact writes:
+    values[i, j] at xs[i] + i ys[j]. auto_window gives a window that holds
     the state's support however far the Kerr phase wraps it.
     """
     if resolution < 2:
@@ -189,7 +175,7 @@ def wigner(state: FockState, center: complex, half_width: float,
         raise ValueError(f"center must be finite, got {center}")
     xs = center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)
-    return WignerGrid(xs, ys, _wigner_grid(state, xs, ys))
+    return Grid(xs, ys, _wigner_grid(state, xs, ys))
 
 
 def auto_window(state: FockState) -> tuple[complex, float]:

@@ -1,10 +1,23 @@
-"""Shared fixtures: the length optima are expensive enough to compute once."""
+"""Shared test helpers: the length optima, expensive enough to compute once,
+and the environment of a subprocess that imports kerrshift."""
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import kerrshift
 from kerrshift.optimize import optimize_length
+
+
+def checkout_env() -> dict:
+    """The environment of a subprocess that imports kerrshift: PYTHONPATH
+    starts at the directory this run imported kerrshift from, so the child
+    runs the same code and not an installed copy."""
+    src = str(Path(kerrshift.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @lru_cache(maxsize=None)

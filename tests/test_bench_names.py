@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import checkout_env
+
 TRACE_LAYERS = Path(__file__).resolve().parents[1] / "bench" / "trace_layers.py"
 
 
@@ -43,5 +45,5 @@ def test_cli_import_loads_every_traced_layer():
             f"print(sorted(m for m in {sorted(_layers())!r} "
             "if 'kerrshift.' + m not in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, check=True)
+                            text=True, check=True, env=checkout_env())
     assert result.stdout.strip() == "[]"

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import length_optimum
+from conftest import checkout_env, length_optimum
 import kerrshift.cli as cli
 from kerrshift.cli import build_parser, main
 from kerrshift.fock import (
@@ -601,6 +601,9 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
      "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
     (["fano", "1e10", "1e290", "0.1"], None,
      "kz = 1e+290: the Kerr phase 4 |alpha|^2 kz = inf is above MAX_KERR_PHASE"),
+    (["photon-dist", "1", "0", "250"], None,
+     "displacement by |delta| = 250 needs 65532 levels, above the limit "
+     "MAX_FOCK_DIM = 60000"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -616,7 +619,7 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "fano-beta-1e300", "fano-mean-overflow", "fano-variance-overflow",
         "optimize-denominator-floor", "fano-kz-1e308", "optimize-kz-1e308",
         "optimize-alpha-1-kz-1e308", "photon-dist-kz-n-squared", "wigner-kz-1e308",
-        "fano-alpha-sq-kz"])
+        "fano-alpha-sq-kz", "photon-dist-fock-dim"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or
@@ -636,14 +639,15 @@ def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
 
 def test_module_entry_smoke():
     result = subprocess.run([sys.executable, "-m", "kerrshift.cli", "fano",
-                             "2", "0", "0"], capture_output=True, text=True)
+                             "2", "0", "0"], capture_output=True, text=True,
+                            env=checkout_env())
     assert result.returncode == 0
     assert "fano" in result.stdout
 
 
 def test_version_flag():
     result = subprocess.run([sys.executable, "-m", "kerrshift.cli", "--version"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=checkout_env())
     assert result.returncode == 0
 
 
@@ -661,7 +665,7 @@ def test_cli_loads_no_scipy(tmp_path):
         "print(scipy_modules())\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True)
+                            text=True, env=checkout_env())
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "pd.json").is_file()
     assert (tmp_path / "t1.json").is_file()

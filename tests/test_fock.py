@@ -107,7 +107,7 @@ def test_coherent_magnitudes_match_50_digit_values(alpha):
     assert np.max(np.abs(magnitudes / exact[cells] - 1.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("alpha", [1e-200, 0.5, 3.0, 10.0, 200.0])
+@pytest.mark.parametrize("alpha", [1e-200, 0.5, 3.0, 10.0, 45.0, 60.0, 100.0, 150.0, 200.0])
 def test_coherent_tail_matches_the_poisson_tail(alpha):
     # at 1e-200 the Poisson mean |alpha|^2 underflows to 0, and so does the tail
     state = coherent_state(alpha)

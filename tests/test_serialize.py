@@ -139,6 +139,13 @@ def test_a_grid_refuses_values_off_its_axes(xs, ys, values, message):
         Grid(xs, ys, values)
 
 
+def test_grid_integral_is_the_riemann_sum():
+    # steps 0.25 in x and 2 in y, every cell weighted by dx dy: 21 * 0.5
+    grid = Grid(np.array([0.0, 0.25, 0.5]), np.array([-1.0, 1.0]),
+                np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    assert grid.integral() == 10.5
+
+
 @given(vector=vectors, table=tables, indent=st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 def test_nested_arrays_render_like_lists(vector, table, indent):
