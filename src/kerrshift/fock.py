@@ -41,11 +41,13 @@ from .errors import (
 # Largest |alpha| of the Fock engine; past it, analytic formulas only. The
 # coherent basis at 200 has n_trunc = 42 020. This caps time, not memory:
 # memory is O(n_max), and displacing the alpha = 200 length optimum
-# (|delta| = 3.1) peaks at 43 MB RSS, but takes 0.3-0.4 s on a 2-core host.
+# (|delta| = 3.1) peaks at 43 MB RSS, but takes 0.15-0.25 s (fastest to
+# median of 7 calls in one process, on a shared 2-core Intel Xeon host).
 MAX_AMPLITUDE = 200.0
 # Largest basis, n_max + 1 levels. Also a time cap, not a memory cap: a
 # displace() that starts at column 0 costs levels x band (|alpha| = 150
-# shifted by 5x its optimal beta: 40 532 levels, a band of 22 300, 20.8 s).
+# shifted by 5x its optimal beta: 40 532 levels, a band of 22 300, 11-14 s
+# in three single calls on that host).
 # displace() needs n_max ~ (sqrt(<n>) + |delta|)^2, so the cap holds every
 # shift with sqrt(<n>) + |delta| below about 240: |delta| up to about 40 at
 # |alpha| = 200, which covers its length optimum, and up to about 240 on
@@ -273,54 +275,99 @@ def poisson_probabilities(mean: float, size: int) -> np.ndarray:
     return weights * weights * np.exp(-np.arange(size) * math.log1p(-gap / mean) - gap)
 
 
-def _miller(delta_abs: float, n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
-    """T_n^k for k <= band, up to one factor common to all k, as mantissa
-    in [0.5, 1) (or 0) times 2^exponent.
+def _miller(delta_abs: float, n: int, band: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """T_{n-1}^k and T_n^k for k <= band, each column up to one factor
+    common to all its k, as mantissa in [0.5, 1) (or 0) times 2^exponent.
 
-    At fixed n the elements obey a three-term recurrence in the order
+    At fixed m the elements obey a three-term recurrence in the order
     (DLMF 18.9.13-14),
 
-        sqrt(x) sqrt(n+k+2) T^{k+2} = (k+1+x) T^{k+1} - sqrt(x) sqrt(n+k+1) T^k.
+        sqrt(x) sqrt(m+k+2) T^{k+2} = (k+1+x) T^{k+1} - sqrt(x) sqrt(m+k+1) T^k.
 
-    T_n^k is its minimal solution as k grows, so it runs downward (Miller's
+    T_m^k is its minimal solution as k grows, so it runs downward (Miller's
     algorithm: Gautschi, SIAM Rev. 9, 24 (1967); DLMF 3.6(iii)) from
     T^{2 band - 1} = 0 and T^{2 band - 2} = 1. The start's error shrinks
     with the ratio of the two solutions over the band - 1 diagonals above
     the band. Downward is stable only while k stays above the column's
-    lower turning point (sqrt n - |delta|)^2 - n, which is at or below 0
-    for n >= x / 4.
+    lower turning point (sqrt m - |delta|)^2 - m, which is at or below 0
+    for m >= x / 4. The two columns run in one loop, each with its own
+    arithmetic and rescaling; the factors |delta| sqrt(n+k+j) they share
+    are formed once.
     """
     x = delta_abs * delta_abs
-    mant, expo = [0.0, 1.0], [0, 0]
-    upper, t, e = 0.0, 1.0, 0
+    # |delta| sqrt(n + k + 2) and |delta| sqrt(n + k + 1) at the first k
+    top = delta_abs * math.sqrt(n + 2 * band - 1.0)
+    mid = delta_abs * math.sqrt(n + 2 * band - 2.0)
+    mant_prev, expo_prev, mant_now, expo_now = [0.0, 1.0], [0, 0], [0.0, 1.0], [0, 0]
+    up_prev, t_prev, e_prev, up_now, t_now, e_now = 0.0, 1.0, 0, 0.0, 1.0, 0
     for k in range(2 * band - 3, -1, -1):
-        upper, t = t, (((k + 1.0 + x) * t - delta_abs * math.sqrt(n + k + 2.0) * upper)
-                       / (delta_abs * math.sqrt(n + k + 1.0)))
-        if abs(t) > _RESCALE:
-            upper, t, e = upper / _RESCALE, t / _RESCALE, e + _RESCALE_BITS
-        mant.append(t)
-        expo.append(e)
-    # the values were appended from k = 2 band - 1 down to k = 0
-    mant, shift = np.frexp(mant[:-band - 2:-1])
-    return mant, shift + np.array(expo[:-band - 2:-1], dtype=np.int64)
+        low = delta_abs * math.sqrt(n + k)
+        a = k + 1.0 + x
+        # column n - 1 divides by |delta| sqrt(n + k), column n by |delta| sqrt(n + k + 1)
+        up_prev, t_prev = t_prev, (a * t_prev - mid * up_prev) / low
+        up_now, t_now = t_now, (a * t_now - top * up_now) / mid
+        if abs(t_prev) > _RESCALE:
+            up_prev, t_prev = up_prev / _RESCALE, t_prev / _RESCALE
+            e_prev += _RESCALE_BITS
+        if abs(t_now) > _RESCALE:
+            up_now, t_now = up_now / _RESCALE, t_now / _RESCALE
+            e_now += _RESCALE_BITS
+        mant_prev.append(t_prev)
+        expo_prev.append(e_prev)
+        mant_now.append(t_now)
+        expo_now.append(e_now)
+        top, mid = mid, low
+    cols = []
+    for mant, expo in ((mant_prev, expo_prev), (mant_now, expo_now)):
+        # the values were appended from k = 2 band - 1 down to k = 0
+        mant, shift = np.frexp(mant[:-band - 2:-1])
+        cols.append((mant, shift + np.array(expo[:-band - 2:-1], dtype=np.int64)))
+    return cols
 
 
-def _steps(delta_abs: float, n: np.ndarray, ks, roots: tuple[np.ndarray, np.ndarray],
-           inv_root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b and a - 1 - b of the recurrence of _columns() from column n to
-    n + 1, on diagonals ks. roots holds sqrt(n + k) and sqrt(n + k + 1),
-    and inv_root 1/sqrt(n + k + 1)."""
-    x = delta_abs * delta_abs
-    inv_den = inv_root * (1.0 / np.sqrt(n + 1.0))
-    b = roots[0] * inv_root * np.sqrt(n / (n + 1.0))
-    # sqrt q - sqrt p and sqrt(q - 1) - sqrt(p - 1) as k over their sums;
-    # sqrt n + sqrt(n + k) is 0 only at n = k = 0, where k / 1 is the 0 wanted
-    outer = ks / (np.sqrt(n + 1.0) + roots[1])
-    inner = ks / np.maximum(np.sqrt(n) + roots[0], 1.0)
-    return b, (0.5 * (outer * outer + inner * inner) - x) * inv_den
+def _tables(span: int, band: int) -> tuple[np.ndarray, ...]:
+    """The tables _steps() reads: the diagonals k < band; sqrt m for
+    m <= span, and 1/sqrt(m + 1) and sqrt(m/(m + 1)) for m < span; then the
+    (row n) x (band) windows w[n, k] = t[n + k] over sqrt m,
+    sqrt m (1/sqrt(m + 1)) and 1/sqrt(m + 1)."""
+    root = np.sqrt(np.arange(span + 1, dtype=float))
+    inv_root = 1.0 / root[1:]
+    m = np.arange(span, dtype=float)
+    return (np.arange(band, dtype=float), root, inv_root, np.sqrt(m / (m + 1.0)),
+            *(sliding_window_view(t, band) for t in (root, root[:-1] * inv_root, inv_root)))
 
 
-def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.ndarray]):
+def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int, k: slice,
+           b: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+    """Write b and a - 1 - b of the recurrence of _columns() from column n
+    to n + 1 into b and c, for the rows n0 <= n < n0 + len(b) and the
+    diagonals k, from the tables of _tables(); scratch has one row more.
+
+    b = sqrt(n + k) (1/sqrt(n + k + 1)) sqrt(n/(n + 1)) is one product of
+    two tables. In a - 1 - b, (sqrt q - sqrt p)^2 is formed as
+    (k / (sqrt p + sqrt q))^2, and (sqrt(q - 1) - sqrt(p - 1))^2 of row n is
+    that square of row n - 1, so it is formed once for the rows n0 - 1 to
+    n0 + len(b) - 1.
+    """
+    ks, root, inv_root, shrink, root_win, ratio_win, inv_root_win = tables
+    rows, edge = slice(n0, n0 + len(b)), slice(n0, n0 + len(scratch))
+    np.multiply(ratio_win[rows, k], shrink[rows, None], out=b)
+    np.add(root[edge, None], root_win[edge, k], out=scratch)
+    if n0 == 0:
+        # sqrt p + sqrt q is 0 only at n = -1, k = 0, where k / 1 is the 0 wanted
+        np.maximum(scratch[0], 1.0, out=scratch[0])
+    np.divide(ks[k], scratch, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(scratch[1:], scratch[:-1], out=c)
+    c *= 0.5
+    c -= x
+    # 1/sqrt(pq) is formed whole before it scales c
+    np.multiply(inv_root_win[rows, k], inv_root[rows, None], out=scratch[1:])
+    c *= scratch[1:]
+
+
+def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.ndarray],
+          tables: tuple[np.ndarray, ...]):
     """Mantissas of T_{start-1}, T_start and d_start = T_start - T_{start-1}
     for k < band, and the binary exponent of each diagonal.
 
@@ -329,8 +376,9 @@ def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.nd
     is largest, and not at k = 0, which can sit near a zero of L_n. The
     true T_{start-1}^{k*} and T_start^{k*} come from the column recurrence
     run along that one diagonal from its T_0^{k*} in zero, a scalar loop of
-    `start` steps. Each diagonal's exponent is that of the larger of its two
-    elements, so every mantissa is at most 1 and none underflows.
+    `start` steps on coefficients from _steps(). Each diagonal's exponent
+    is that of the larger of its two elements, so every mantissa is at most
+    1 and none underflows.
 
     d is formed without cancellation: L_n^k - L_{n-1}^k = L_n^{k-1}
     (DLMF 18.9.13) gives, with s = start,
@@ -342,18 +390,17 @@ def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.nd
     digits of each column, and every column after it would inherit that
     rounding as a drift.
     """
-    cols = [_miller(delta_abs, n, band) for n in (start - 1, start)]
+    cols = _miller(delta_abs, start, band)
     with np.errstate(divide="ignore"):
         size = sum(np.log2(np.abs(m[:band])) + e[:band] for m, e in cols)
     anchor = int(np.argmax(size))
     # the diagonal k* from column 0 up to column `start`, in difference form
-    n = np.arange(start, dtype=float)
-    i = n + anchor
-    b, c = _steps(delta_abs, n, float(anchor), (np.sqrt(i), np.sqrt(i + 1.0)),
-                  1.0 / np.sqrt(i + 1.0))
+    b, c = np.empty((start, 1)), np.empty((start, 1))
+    _steps(delta_abs * delta_abs, tables, 0, slice(anchor, anchor + 1), b, c,
+           np.empty((start + 1, 1)))
     before, now, e = 0.0, float(zero[0][anchor]), int(zero[1][anchor])
     diff = now
-    for step_b, step_c in zip(b.tolist(), c.tolist()):
+    for step_b, step_c in zip(b.ravel().tolist(), c.ravel().tolist()):
         diff = step_b * diff + step_c * now
         before, now = now, now + diff
         if abs(now) > _RESCALE:
@@ -419,18 +466,19 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     none underflows for good. For band <= MAX_FOCK_DIM one block grows a
     mantissa by less than 1e60, so none overflows.
 
-    The tables of sqrt(n + k) and 1/sqrt(q), and the (row n) x (band)
-    windows over them, are built once per call; each block slices its
-    _BLOCK rows out of the windows.
+    The coefficients of a block come from _steps(), on tables of
+    _tables() built once per call: sqrt(n + k) (1/sqrt(n + k + 1)) depends
+    on n + k alone, so b is one product of a window row and a column
+    factor, and each square in a - 1 - b is formed once for two rows. A
+    block writes into buffers allocated once per call, in about nine passes
+    over (_BLOCK x band) arrays, and _seed() takes its anchor diagonal from
+    the same _steps().
     """
-    ks = np.arange(band, dtype=float)
-    if start < 1 or start < delta_abs * delta_abs:
+    x = delta_abs * delta_abs
+    if start < 1 or start < x:
         start = 0
-    # rows n of each window: sqrt(n + k), sqrt(n + k + 1) and 1/sqrt(q)
-    span = start + -(-(n_cols - start) // _BLOCK) * _BLOCK + band
-    root = np.sqrt(np.arange(span + 1, dtype=float))
-    root_win = sliding_window_view(root, band)
-    inv_root_win = sliding_window_view(1.0 / root[1:], band)
+    # rows n of the windows reach the last block's n0 + _BLOCK
+    tables = _tables(start + -(-(n_cols - start) // _BLOCK) * _BLOCK + band, band)
     # mantissas of T_{n0-1} .. T_{n0+_BLOCK}, and of d_{n0}
     rows = np.zeros((_BLOCK + 2, band))
     zero = _column_zero(delta_abs, band)
@@ -438,16 +486,17 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
         rows[1], expo = zero
         diff = rows[1].copy()
     else:
-        rows[0], rows[1], diff, expo = _seed(delta_abs, start, band, zero)
+        rows[0], rows[1], diff, expo = _seed(delta_abs, start, band, zero, tables)
     weight = np.ldexp(1.0, expo)
+    # b, c, the scratch of _steps() and c T_{n0+j}, rewritten every block
+    b, c = np.empty((_BLOCK, band)), np.empty((_BLOCK, band))
+    scratch, term = np.empty((_BLOCK + 1, band)), np.empty(band)
     for n0 in range(start, n_cols, _BLOCK):
-        n = np.arange(n0, n0 + _BLOCK, dtype=float)[:, None]
-        at = slice(n0, n0 + _BLOCK)
-        b, c = _steps(delta_abs, n, ks, (root_win[at], root_win[n0 + 1: n0 + 1 + _BLOCK]),
-                      inv_root_win[at])
+        _steps(x, tables, n0, slice(None), b, c, scratch)
         for j in range(_BLOCK):
             diff *= b[j]
-            diff += c[j] * rows[j + 1]
+            np.multiply(c[j], rows[j + 1], out=term)
+            diff += term
             np.add(rows[j + 1], diff, out=rows[j + 2])
         yield n0, rows[1: 1 + min(_BLOCK, n_cols - n0)] * weight
         rows[:2] = rows[_BLOCK:]
@@ -504,8 +553,9 @@ def displace(state: FockState, delta: complex) -> FockState:
     is raised before any column is run. The alpha = 200 length optimum
     (|alpha| = MAX_AMPLITUDE) takes 43306 levels and a band of 1792
     diagonals (2581 to the edge), starts at column 35 937 of 42 020, and
-    leaves a norm defect of 7e-14. On a 2-core Xeon host that displace()
-    call takes 0.3-0.4 s (2.0 s from column 0), and the process peaks at
+    leaves a norm defect of 2.8e-14. On a shared 2-core Intel Xeon host
+    that displace() call takes 0.15-0.25 s (1.0-1.5 s from column 0),
+    fastest to median of 7 calls in one process, and the process peaks at
     43 MB RSS.
 
     The truncated unitary loses the mass the displaced state carries above

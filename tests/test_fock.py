@@ -234,6 +234,53 @@ def test_seed_below_x_starts_at_column_0():
     assert first == 100
 
 
+def _per_block_steps(delta_abs, n, ks):
+    """b and a - 1 - b of the column recurrence, formed whole for each row n
+    and diagonal k as the blocks of _columns() formed them before the tables."""
+    x = delta_abs * delta_abs
+    i = n + ks
+    inv_root = 1.0 / np.sqrt(i + 1.0)
+    inv_den = inv_root * (1.0 / np.sqrt(n + 1.0))
+    b = np.sqrt(i) * inv_root * np.sqrt(n / (n + 1.0))
+    outer = ks / (np.sqrt(n + 1.0) + np.sqrt(i + 1.0))
+    inner = ks / np.maximum(np.sqrt(n) + np.sqrt(i), 1.0)
+    return b, (0.5 * (outer * outer + inner * inner) - x) * inv_den
+
+
+@given(delta_abs=st.floats(1e-3, 10.0), start=st.integers(0, 5000))
+@settings(max_examples=10, deadline=None)
+@example(delta_abs=2.116, start=0)
+@example(delta_abs=6.5, start=0)
+@example(delta_abs=2.116, start=2415)
+@example(delta_abs=1e-3, start=5000)
+def test_table_coefficients_match_the_per_block_formula(delta_abs, start):
+    # every _steps() call of a run: the seed's anchor diagonal (start > 0),
+    # then the blocks from the start column, the first one at n0 = 0 (with
+    # the n = k = 0 cell) where the run starts at column 0
+    n_cols = start + 3 * fock._BLOCK
+    band = _band(delta_abs, n_cols - 1 + int(np.ceil(10.0 * (delta_abs + 1.0))), n_cols - 1)
+    steps, calls = fock._steps, []
+
+    def recorded(x, tables, n0, k, b, c, scratch):
+        steps(x, tables, n0, k, b, c, scratch)
+        calls.append((n0, k, b.copy(), c.copy()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_steps", recorded)
+        _, first = _column_run(delta_abs, n_cols, band, start)
+    if first > 0:
+        n0, k, b, c = calls.pop(0)
+        assert (n0, k.stop - k.start, b.shape) == (0, 1, (first, 1))
+        n = np.arange(first, dtype=float)[:, None]
+        want = _per_block_steps(delta_abs, n, float(k.start))
+        assert np.array_equal(b, want[0]) and np.array_equal(c, want[1])
+    assert [n0 for n0, *_ in calls] == list(range(first, n_cols, fock._BLOCK))
+    for n0, k, b, c in calls:
+        n = np.arange(n0, n0 + fock._BLOCK, dtype=float)[:, None]
+        want = _per_block_steps(delta_abs, n, np.arange(band, dtype=float))
+        assert np.array_equal(b, want[0]) and np.array_equal(c, want[1])
+
+
 def _length_optimum_state(alpha):
     opt = optimize_length(alpha)
     scenario = KerrScenario(alpha, opt.kz)
