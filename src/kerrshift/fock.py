@@ -338,10 +338,11 @@ def _tables(span: int, band: int) -> tuple[np.ndarray, ...]:
 
 
 def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int, k: slice,
-           b: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+           b: np.ndarray, c: np.ndarray, squares: np.ndarray) -> None:
     """Write b and a - 1 - b of the recurrence of _columns() from column n
     to n + 1 into b and c, for the rows n0 <= n < n0 + len(b) and the
-    diagonals k, from the tables of _tables(); scratch has one row more.
+    diagonals k, from the tables of _tables(); squares, one row longer than
+    b, is their work space.
 
     b = sqrt(n + k) (1/sqrt(n + k + 1)) sqrt(n/(n + 1)) is one product of
     two tables. In a - 1 - b, (sqrt q - sqrt p)^2 is formed as
@@ -350,20 +351,21 @@ def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int, k: slice,
     n0 + len(b) - 1.
     """
     ks, root, inv_root, shrink, root_win, ratio_win, inv_root_win = tables
-    rows, edge = slice(n0, n0 + len(b)), slice(n0, n0 + len(scratch))
+    rows, edge = slice(n0, n0 + len(b)), slice(n0, n0 + len(squares))
     np.multiply(ratio_win[rows, k], shrink[rows, None], out=b)
-    np.add(root[edge, None], root_win[edge, k], out=scratch)
+    np.add(root[edge, None], root_win[edge, k], out=squares)
     if n0 == 0:
         # sqrt p + sqrt q is 0 only at n = -1, k = 0, where k / 1 is the 0 wanted
-        np.maximum(scratch[0], 1.0, out=scratch[0])
-    np.divide(ks[k], scratch, out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
-    np.add(scratch[1:], scratch[:-1], out=c)
+        np.maximum(squares[0], 1.0, out=squares[0])
+    np.divide(ks[k], squares, out=squares)
+    np.multiply(squares, squares, out=squares)
+    np.add(squares[1:], squares[:-1], out=c)
     c *= 0.5
     c -= x
-    # 1/sqrt(pq) is formed whole before it scales c
-    np.multiply(inv_root_win[rows, k], inv_root[rows, None], out=scratch[1:])
-    c *= scratch[1:]
+    # 1/sqrt(pq) is rounded once, as one product, before it scales c;
+    # applying its two factors in turn would round c twice
+    np.multiply(inv_root_win[rows, k], inv_root[rows, None], out=squares[1:])
+    c *= squares[1:]
 
 
 def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.ndarray],
@@ -488,11 +490,11 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     else:
         rows[0], rows[1], diff, expo = _seed(delta_abs, start, band, zero, tables)
     weight = np.ldexp(1.0, expo)
-    # b, c, the scratch of _steps() and c T_{n0+j}, rewritten every block
+    # b, c, the squares of _steps() and c T_{n0+j}, rewritten every block
     b, c = np.empty((_BLOCK, band)), np.empty((_BLOCK, band))
-    scratch, term = np.empty((_BLOCK + 1, band)), np.empty(band)
+    squares, term = np.empty((_BLOCK + 1, band)), np.empty(band)
     for n0 in range(start, n_cols, _BLOCK):
-        _steps(x, tables, n0, slice(None), b, c, scratch)
+        _steps(x, tables, n0, slice(None), b, c, squares)
         for j in range(_BLOCK):
             diff *= b[j]
             np.multiply(c[j], rows[j + 1], out=term)

@@ -261,8 +261,8 @@ def test_table_coefficients_match_the_per_block_formula(delta_abs, start):
     band = _band(delta_abs, n_cols - 1 + int(np.ceil(10.0 * (delta_abs + 1.0))), n_cols - 1)
     steps, calls = fock._steps, []
 
-    def recorded(x, tables, n0, k, b, c, scratch):
-        steps(x, tables, n0, k, b, c, scratch)
+    def recorded(x, tables, n0, k, b, c, squares):
+        steps(x, tables, n0, k, b, c, squares)
         calls.append((n0, k, b.copy(), c.copy()))
 
     with pytest.MonkeyPatch.context() as patch:
