@@ -18,18 +18,19 @@ and from the Fock engine. Each command returns its artifact and its
 human-readable lines; main writes both and maps errors to exit codes.
 
 The COMMANDS table maps each subcommand to its handler, help, positionals
-and options. build_parser registers all of them, so usage, choices and
-errors read the same for every argv, but gives arguments only to the command
-argv[0] names, the only one argparse can reach; the others stay bare.
+and options, and COMMON holds the flags every command takes. main reads a
+plain argv (a command, its positionals, then flags spelled in full as
+--name value) from those tables alone (_parse_plain), without argparse. Any
+other argv goes to the argparse parser build_parser makes from the same
+tables, so every help text, usage line, error and exit code is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
-import locale  # argparse's gettext loads it at the first parser build; load it at start-up
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -362,7 +363,7 @@ def cmd_reproduce(args, config: dict):
 # Every subcommand: (handler, help, positionals, options). Positionals and
 # options map a name to its add_argument keywords; an option is the flag
 # --name ({} for an input that _inputs parses). Every command also takes
-# --format, --out and --config.
+# the COMMON flags.
 _MAYBE = {"nargs": "?"}
 COMMANDS = {
     "fano": (cmd_fano, "Fano factor of a displaced Kerr state",
@@ -391,37 +392,99 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv: every COMMANDS entry is a subcommand, so the usage
-    line, the choice list and every error read the same for any argv. When
-    argv[0] names a command, argparse dispatches to that one alone, so only it
-    gets its arguments and -h; the others are bare stubs that carry their
-    help. Otherwise (no argv, -h, --version, an unknown name) all get theirs."""
+# The flags every command takes, after its own options.
+COMMON = {"format": {"choices": ("csv", "json"), "default": "json"},
+          "out": {"help": "write the artifact here"},
+          "config": {"help": "key=value config file"}}
+
+
+def build_parser():
+    """The argparse parser: every COMMANDS entry is a subcommand with its
+    positionals, its options and the COMMON flags."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kerrshift",
         description="Photon-noise suppression with displaced Kerr states")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    named = argv[0] if argv and argv[0] in COMMANDS else None
     for name, (func, help, positionals, options) in COMMANDS.items():
-        if named not in (None, name):
-            sub.add_parser(name, help=help, add_help=False)
-            continue
         p = sub.add_parser(name, help=help)
         for dest, kwargs in positionals.items():
             p.add_argument(dest, **kwargs)
-        for dest, kwargs in options.items():
+        for dest, kwargs in {**options, **COMMON}.items():
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kwargs)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", help="write the artifact here")
-        p.add_argument("--config", help="key=value config file")
         p.set_defaults(func=func)
     return parser
 
 
+def _value(kwargs: dict, text: str):
+    """text read by an argument's type and checked against its choices, as
+    argparse does; ValueError (or the type's TypeError) if either fails."""
+    value = kwargs.get("type", str)(text)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _parse_plain(argv: list):
+    """The namespace build_parser().parse_args(argv) gives, read from the
+    tables, when argv is plain: a command name, then at most its number of
+    positionals with none starting with '-' and every required one there, then
+    its options and the COMMON flags, each spelled in full as --name value
+    (a store_true flag alone). None for any other argv (no command, -h,
+    --version, --, --name=value, an abbreviation, a value starting with '-', a
+    positional after a flag, a value its type or choices refuse, a non-str
+    token), which argparse then reads."""
+    if not (argv and all(isinstance(a, str) for a in argv) and argv[0] in COMMANDS):
+        return None
+    func, _, positionals, options = COMMANDS[argv[0]]
+    flags = {"--" + dest.replace("_", "-"): (dest, kwargs)
+             for dest, kwargs in {**options, **COMMON}.items()}
+    rest = argv[1:]
+    n_pos = next((i for i, a in enumerate(rest) if a.startswith("-")), len(rest))
+    if n_pos > len(positionals) or any(
+            kwargs.get("nargs") != "?" for kwargs in list(positionals.values())[n_pos:]):
+        return None
+    try:
+        values = {dest: _value(kwargs, text)
+                  for (dest, kwargs), text in zip(positionals.items(), rest[:n_pos])}
+        i = n_pos
+        while i < len(rest):
+            if rest[i] not in flags:
+                return None
+            dest, kwargs = flags[rest[i]]
+            if kwargs.get("action") == "store_true":
+                values[dest], i = True, i + 1
+            elif i + 1 < len(rest) and not rest[i + 1].startswith("-"):
+                values[dest], i = _value(kwargs, rest[i + 1]), i + 2
+            else:
+                return None
+        # an omitted argument takes its default, a str one read as argparse reads it
+        for dest, kwargs in list(positionals.items()) + list(flags.values()):
+            store_true = kwargs.get("action") == "store_true"
+            default = kwargs.get("default", False if store_true else None)
+            if dest not in values:
+                values[dest] = _value(kwargs, default) if isinstance(default, str) else default
+    except (TypeError, ValueError):
+        return None
+    return SimpleNamespace(subcommand=argv[0], func=func, **values)
+
+
+def parse_args(argv: list):
+    """The parsed argv: from the tables when it is plain (_parse_plain), else
+    from build_parser(), which prints help, the version or an error and exits
+    where argparse does."""
+    args = _parse_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
 def main(argv=None) -> int:
+    """Run one command line: exit 0 on success, 2 on a validation failure
+    (argparse's own exit 2 included), 3 on non-convergence and 4 when a
+    reproduce artifact misses its tolerance."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         artifact, human_lines = args.func(args, _load_config(args.config))
         _emit(args, artifact, human_lines)

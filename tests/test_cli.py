@@ -1,7 +1,10 @@
 """CLI surface: artifacts, exit codes, determinism, config round trips."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,6 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import checkout_env, length_optimum
 import kerrshift.cli as cli
@@ -479,10 +483,10 @@ PARITY_ARGV = [[], ["-h"], ["--version"], ["bogus"], ["-"],
     [name, "--help"] for name in cli.COMMANDS]
 
 
-def _parse_outcome(parser, argv, capsys):
-    """(exit code, stdout, stderr, parsed inputs) of parser.parse_args(argv)."""
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr, parsed inputs) of parse(argv)."""
     try:
-        parsed, code = vars(parser.parse_args(argv)), None
+        parsed, code = vars(parse(argv)), None
     except SystemExit as exc:
         parsed, code = None, exc.code
     captured = capsys.readouterr()
@@ -492,21 +496,65 @@ def _parse_outcome(parser, argv, capsys):
 @pytest.mark.parametrize("columns", [None, "40", "200"])
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no-argv")
 def test_parser_for_argv_reads_as_the_full_parser(argv, columns, monkeypatch, capsys):
-    # the parser built for argv gives the full parser's usage, help, choice
-    # list and errors, at any terminal width
+    # main's parse path gives the full parser's usage, help, choice list and
+    # errors, at any terminal width
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
-    assert (_parse_outcome(build_parser(argv), argv, capsys)
-            == _parse_outcome(build_parser(), argv, capsys))
+    assert (_parse_outcome(cli.parse_args, argv, capsys)
+            == _parse_outcome(build_parser().parse_args, argv, capsys))
 
 
-def test_parser_for_a_command_builds_only_its_arguments():
-    sub = next(a for a in build_parser(["fano", "1"])._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(cli.COMMANDS)
-    assert {name for name, p in sub.choices.items() if p._actions} == {"fano"}
+FULL_PARSER = build_parser()
+EDGE_TOKENS = ["-1", "-0.5", "--", "-h", "--form", "--out=x", "nan", "", "fig9"]
+VALUES = ["1", "0.25", "(1,-2)", "1e-3", "7", "nan", "", "x", "csv", "json", "auto",
+          "table3"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, some of its positionals (at most one too many), some of its
+    flags and the COMMON ones (repeats allowed, a store_true flag sometimes
+    given a value, an edge token sometimes given as a value), and edge tokens
+    or values put in anywhere."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, positionals, options = cli.COMMANDS[name]
+    flags = {**options, **cli.COMMON}
+    argv = draw(st.lists(st.sampled_from(VALUES), max_size=len(positionals) + 1))
+    for dest in draw(st.lists(st.sampled_from(list(flags)), max_size=4)):
+        argv.append("--" + dest.replace("_", "-"))
+        if flags[dest].get("action") != "store_true" or draw(st.booleans()):
+            argv.append(draw(st.sampled_from(VALUES + EDGE_TOKENS)))
+    for token in draw(st.lists(st.sampled_from(EDGE_TOKENS + VALUES), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return [name] + argv
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=400, deadline=None)
+@example(["reproduce"])
+@example(["reproduce", "--format", "csv"])
+@example(["sweep-length", "4", "--kz-min", "nan", "--kz-max", "nan"])
+@given(command_lines())
+def test_plain_parse_reads_as_argparse(argv):
+    # whenever the table parse accepts an argv, argparse accepts it too and
+    # parses the same values (nan read as nan)
+    plain = cli._parse_plain(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = vars(FULL_PARSER.parse_args(argv))
+        except SystemExit as exc:
+            raise AssertionError(f"argparse refuses {argv}, exit {exc.code}") from None
+    plain = vars(plain)
+    assert plain.keys() == full.keys()
+    assert all(_same(plain[k], full[k]) for k in full), (plain, full)
 
 
 INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
@@ -649,6 +697,33 @@ def test_version_flag():
     result = subprocess.run([sys.executable, "-m", "kerrshift.cli", "--version"],
                             capture_output=True, text=True, env=checkout_env())
     assert result.returncode == 0
+
+
+def test_plain_command_lines_load_no_argparse(tmp_path):
+    # a plain argv is read from the COMMANDS table, so argparse, and the
+    # gettext and locale modules it loads, stay out of the process
+    script = (
+        "import sys\n"
+        "from kerrshift.cli import main\n"
+        "for argv in (['fano', '10', '0.0218', '0.1'], ['optimize', '10', '--kz', '0.0218'],\n"
+        "             ['photon-dist', '3', '0.05', '0.1'], ['reproduce', 'table3']):\n"
+        f"    assert main(argv + ['--out', {str(tmp_path / 'a.json')!r}]) == 0, argv\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=checkout_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_argv_argparse_refuses_still_exits_2():
+    result = subprocess.run([sys.executable, "-m", "kerrshift.cli", "fano", "1", "0.1",
+                             "0", "--bogus"], capture_output=True, text=True,
+                            env=checkout_env())
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        "kerrshift: error: unrecognized arguments: --bogus")
 
 
 def test_cli_loads_no_scipy(tmp_path):
