@@ -46,7 +46,13 @@ from .fock import (
     poisson_probabilities,
 )
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
-from .optimize import LENGTH_REL_TOL, optimize_beta, optimize_length, sweep_length
+from .optimize import (
+    LENGTH_REL_TOL,
+    MIN_LENGTH_REL_TOL,
+    optimize_beta,
+    optimize_length,
+    sweep_length,
+)
 from .reproduce import TARGETS, build
 from .serialize import Artifact, read_key_values
 from .waveguide import (
@@ -193,6 +199,10 @@ def cmd_optimize(args, config: dict):
     alpha, kz, tol_kz = _inputs(args, config, "alpha", optional=("kz", "tol_kz"))
     if not (math.isfinite(tol_kz) and tol_kz > 0):
         raise CliError(f"tol_kz: must be finite and positive, got {tol_kz!r}")
+    if tol_kz < MIN_LENGTH_REL_TOL:
+        raise CliError(f"tol_kz: {tol_kz!r} is below the limit MIN_LENGTH_REL_TOL = "
+                       f"{MIN_LENGTH_REL_TOL!r}, the narrowest relative kz bracket of "
+                       f"the length search in doubles")
     if kz is not None:
         opt = optimize_beta(KerrScenario(alpha, kz))
     else:

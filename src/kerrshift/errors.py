@@ -34,6 +34,10 @@ class UnboundedOptimum(KerrshiftError):
     """The minimum Fano factor over the shift is approached only as |beta| grows without bound."""
 
 
+class BelowResolution(KerrshiftError):
+    """A result is lost to double rounding: F_min or its slope lies below what doubles resolve."""
+
+
 class OutOfValidityRange(KerrshiftError):
     """Piecewise approximation queried outside [0, 2 (Kz)_opt]."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NumericalOverflow
+from .errors import BelowResolution, DegenerateDenominator, NumericalOverflow
 from .fock import KerrScenario, PhotonStatistics
 
 # F is refused where its denominator s + |beta + g1|^2 is at or below this
@@ -105,13 +105,17 @@ class FanoForms:
     instead: there g1*^2 may underflow while expm1(x) overflows.
 
     Every field is a Python number, and K a nested tuple of rows read as
-    K[i][j]. evaluate() and denominator() take beta as a Python complex or
-    as a complex array, with the same bits from both.
+    K[i][j]. evaluate(), numerator() and denominator() take beta as a Python
+    complex or as a complex array, with the same bits from both.
+
+    rate, when fano_forms is asked for it, holds the kz-derivatives of the
+    fields, (g1', s', K'), as forms of the same shape; slope() reads them.
     """
 
     g1: complex
     s: float
     bracket: tuple
+    rate: FanoForms | None = None
 
     def denominator(self, beta):
         """s + |beta + g1|^2 at beta. |z|^2 is summed from the squares of
@@ -121,22 +125,39 @@ class FanoForms:
         z = beta + self.g1
         return self.s + (z.real * z.real + z.imag * z.imag)
 
+    def numerator(self, beta):
+        """v^T K v at beta."""
+        x, y = beta.real, beta.imag
+        k = self.bracket
+        return (2.0 * (k[0][1] * x + k[0][2] * y)
+                + k[1][1] * x * x + 2.0 * k[1][2] * x * y + k[2][2] * y * y)
+
     def evaluate(self, beta, m: float):
         """F at beta, with m = tau^2 |a|^2. A large beta overflows to inf or
         nan; callers check. A zero denominator raises ZeroDivisionError on a
         Python complex, so statistics() tests it first."""
-        x, y = beta.real, beta.imag
-        k = self.bracket
-        quad = (2.0 * (k[0][1] * x + k[0][2] * y)
-                + k[1][1] * x * x + 2.0 * k[1][2] * x * y + k[2][2] * y * y)
-        return 1.0 + m * quad / self.denominator(beta)
+        return 1.0 + m * self.numerator(beta) / self.denominator(beta)
+
+    def slope(self, beta: complex, m: float) -> float:
+        """dF/dkz at a fixed beta, with m = tau^2 |a|^2, from rate:
+        m (N' D - N D') / D^2 with N = v^T K v, D = s + |beta + g1|^2,
+        N' = v^T K' v and D' = s' + 2 Re((beta + g1)* g1'). At the optimal
+        shift it is dF_min/dkz, since there dF/dbeta = 0 (the envelope
+        theorem). D >= s > 0 wherever the pencil is solved, and N / D is
+        taken first, so that D^2 cannot underflow to 0."""
+        r = self.rate
+        z = beta + self.g1
+        denom = self.denominator(beta)
+        denom_rate = r.s + 2.0 * (z.real * r.g1.real + z.imag * r.g1.imag)
+        return m * (r.numerator(beta) - self.numerator(beta) / denom * denom_rate) / denom
 
     def statistics(self, beta: complex, m: float) -> PhotonStatistics:
         """Photon statistics at beta, with m = tau^2 |a|^2: the mean is m
         times the denominator of F, the variance F times the mean. A
         denominator at or below DENOM_FLOOR, or a mean at or below 0, raises
         DegenerateDenominator; a mean, variance or F that is not finite
-        raises NumericalOverflow."""
+        raises NumericalOverflow, and an F at or below 0, which only
+        rounding gives, BelowResolution."""
         denom = self.denominator(beta)
         mean = m * denom
         if denom <= DENOM_FLOOR:
@@ -151,6 +172,10 @@ class FanoForms:
         for name, value in (("mean photon number", mean), ("variance", variance), ("F", fano)):
             if not math.isfinite(value):
                 raise NumericalOverflow(f"{name} = {value} is not finite at beta = {beta}")
+        if not fano > 0.0:
+            raise BelowResolution(
+                f"F = {fano!r} is not positive at beta = {beta}: doubles do not resolve "
+                f"F_min at this |alpha| and kz")
         return PhotonStatistics(mean, variance, fano)
 
 
@@ -162,8 +187,22 @@ def _expm1(z: complex) -> complex:
     return complex(math.expm1(x) * math.cos(y) - 2.0 * h * h, math.exp(x) * math.sin(y))
 
 
-def fano_forms(scenario: KerrScenario) -> FanoForms:
-    """The denominator and bracket forms of the Fano factor at (|alpha|, kz)."""
+def _bracket(c: complex, w: complex, s: float) -> tuple:
+    """The rows of K with v^T K v = 4 Re(beta c) + 2 Re(beta^2 w) + 2 |beta|^2 s."""
+    c_re, c_im = 2.0 * c.real, -2.0 * c.imag
+    return ((0.0, c_re, c_im),
+            (c_re, 2.0 * (w.real + s), -2.0 * w.imag),
+            (c_im, -2.0 * w.imag, 2.0 * (s - w.real)))
+
+
+def fano_forms(scenario: KerrScenario, rate: bool = False) -> FanoForms:
+    """The denominator and bracket forms of the Fano factor at (|alpha|, kz),
+    and with rate=True their kz-derivatives, from the same pieces:
+        g1' = 2i |a|^2 u* g1,    u' = -2i (u + 1),    s' = -2 Re(g1* g1'),
+        c'  = u' g1* + u g1'* = -2i g1* (u + 1 + |a|^2 u^2),
+        w'  = -2i w (1 + 2 |a|^2 u (u + 2)) - 2i g1*^2 (1 + 2 |a|^2 u (u + 1)),
+    where u* = e^{2ikz} - 1, and w' is that of w = e^{-2ikz} g2* - g1*^2
+    with g2' = 4i |a|^2 u* (u* + 2) g2 and e^{-2ikz} g2* = w + g1*^2."""
     a2, kz = scenario.abs_alpha_sq, scenario.kz
     g1, g2 = g_factors(scenario)
     g1c = g1.conjugate()
@@ -175,10 +214,15 @@ def fano_forms(scenario: KerrScenario) -> FanoForms:
     else:
         w = cmath.exp(-2j * kz) * g2.conjugate() - g1c * g1c
     s = -math.expm1(_sin_sq_term(-4.0, scenario, kz))
-    c_re, c_im = 2.0 * c.real, -2.0 * c.imag
-    return FanoForms(g1, s, ((0.0, c_re, c_im),
-                             (c_re, 2.0 * (w.real + s), -2.0 * w.imag),
-                             (c_im, -2.0 * w.imag, 2.0 * (s - w.real))))
+    rates = None
+    if rate:
+        g1_rate = 2j * a2 * u.conjugate() * g1
+        s_rate = -2.0 * (g1c * g1_rate).real
+        c_rate = -2j * g1c * (u + 1.0 + a2 * u * u)
+        w_rate = -2j * (w * (1.0 + 2.0 * a2 * u * (u + 2.0))
+                        + g1c * g1c * (1.0 + 2.0 * a2 * u * (u + 1.0)))
+        rates = FanoForms(g1_rate, s_rate, _bracket(c_rate, w_rate, s_rate))
+    return FanoForms(g1, s, _bracket(c, w, s), rates)
 
 
 def fano_values(scenario: KerrScenario, betas) -> np.ndarray:

@@ -21,8 +21,13 @@ relative digits, so the ratio keeps them also where the optimum lies far out
 photon number and the suppression are then reported from the same forms at
 beta*; each optimum builds them once.
 
-optimize_length golden-sections kz over the pencil minimum, and sweep_length
-solves at every kz of a grid.
+optimize_length finds the optimal length as the root of dF_min/dkz. By the
+envelope theorem (Hellmann-Feynman for the pencil) that slope is dF/dkz at
+beta* with beta* held fixed, so each step is one pencil solve and
+FanoForms.slope on the forms' kz-derivatives. The root search starts at the
+analytic length estimate kz_opt_approx, brackets the sign change of the
+slope, and closes the bracket by Illinois regula falsi; see _slope_root.
+sweep_length solves at every kz of a grid.
 """
 
 from __future__ import annotations
@@ -32,18 +37,25 @@ import sys
 from dataclasses import dataclass
 
 from .approx import MIN_ALPHA, kz_opt_approx
-from .errors import NonConvergence, UnboundedOptimum
+from .errors import BelowResolution, NonConvergence, UnboundedOptimum
 from .fock import KerrScenario
 from .moments import FanoForms, fano_forms
 
 # The one tolerance of the solve: a gain 1 - F_min at or below it counts as
 # none, and the zero shift (the cheapest displacement) is returned.
 GAIN_TOL = 1e-12
-# Iteration cap of the golden-section length search and of the Newton steps
-# of the pencil's eigenvalue; NonConvergence past it.
+# Iteration cap of the length search's root iteration and of the Newton
+# steps of the pencil's eigenvalue; NonConvergence past it.
 MAX_ITER = 200
+# kz ratio of the length search's first step from the length estimate, which
+# lies above the optimum by 9% at |alpha| = 2, 1.8% at 10 and 0.1% at 100;
+# each later step squares the ratio
+BRACKET_RATIO = 1.02
 # Default relative kz tolerance of the length search (the CLI's tol_kz default).
 LENGTH_REL_TOL = 1e-6
+# The narrowest relative kz bracket the length search reaches: two adjacent
+# doubles lo < hi have hi - lo <= eps lo. The CLI refuses a smaller tol_kz.
+MIN_LENGTH_REL_TOL = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -156,21 +168,32 @@ def _pencil_matrix(forms: FanoForms) -> tuple:
     return ((k00 / forms.s, a01, a02), (a01, k[1][1], k[1][2]), (a02, k[2][1], k[2][2]))
 
 
-def _pencil(scenario: KerrScenario):
-    """(F_min, u, forms) at tau = 1: the pencil minimum 1 + m lambda_min and
-    its eigenvector u of S K' S (up to scale). With s == 0 (kz = 0, or
-    4 |alpha|^2 sin^2 kz underflowing) F == 1 for every shift, and u is
-    None. So it is taken for an s below the smallest normal double, where
-    K'00 / s and K'0j / sqrt(s) are quotients of subnormal rounding
-    residues. There |alpha|^2 kz, about |alpha| sqrt(s) / 2, is below
-    7.5e-155 |alpha|, and the gain 1 - F_min, about 4 |alpha|^2 kz while
-    small, stays below GAIN_TOL up to |alpha| of about 3e141; past that the
-    gain is lost."""
-    forms = fano_forms(scenario)
+def _pencil(forms: FanoForms, m: float):
+    """(F_min, u) at tau = 1, with m = |alpha|^2: the pencil minimum
+    1 + m lambda_min and its eigenvector u of S K' S (up to scale). With
+    s == 0 (kz = 0, or 4 |alpha|^2 sin^2 kz underflowing) F == 1 for every
+    shift, and u is None. So it is taken for an s below the smallest normal
+    double, where K'00 / s and K'0j / sqrt(s) are quotients of subnormal
+    rounding residues. There |alpha|^2 kz, about |alpha| sqrt(s) / 2, is
+    below 7.5e-155 |alpha|, and the gain 1 - F_min, about 4 |alpha|^2 kz
+    while small, stays below GAIN_TOL up to |alpha| of about 3e141; past
+    that the gain is lost."""
     if forms.s < sys.float_info.min:
-        return 1.0, None, forms
+        return 1.0, None
     lam, u = _smallest_eigenpair(_pencil_matrix(forms))
-    return 1.0 + scenario.abs_alpha_sq * lam, u, forms
+    return 1.0 + m * lam, u
+
+
+def _shift(forms: FanoForms, u) -> complex | None:
+    """beta* = gamma* - g1, with gamma* = sqrt(s) (u1 + i u2) / u0 read from
+    the eigenvector u: S u = (u0 / sqrt(s), u1, u2) is (1, gamma*) up to
+    scale. None where u0 = 0 puts gamma* at infinity; a ratio that overflows
+    puts it past 1e154, where F evaluates to nan."""
+    u0, u1, u2 = u
+    if not u0:
+        return None
+    root = math.sqrt(forms.s)
+    return complex(root * (u1 / u0), root * (u2 / u0)) - forms.g1
 
 
 def optimize_beta(scenario: KerrScenario) -> Optimum:
@@ -183,54 +206,97 @@ def optimize_beta(scenario: KerrScenario) -> Optimum:
     alpha, kz = scenario.alpha, scenario.kz
     if abs(alpha) <= 0:
         raise ValueError("optimization requires |alpha| > 0")
-    f_min, u, forms = _pencil(scenario)
+    m = scenario.abs_alpha_sq
+    forms = fano_forms(scenario)
+    f_min, u = _pencil(forms, m)
     if not 1.0 - f_min > GAIN_TOL:
         return _report(scenario, forms, 0j)
-    # S u = (u0 / sqrt(s), u1, u2) is (1, gamma*) up to scale; u0 = 0 puts
-    # gamma* at infinity, and a ratio that overflows puts it past 1e154,
-    # where F evaluates to nan
-    u0, u1, u2 = u
-    root = math.sqrt(forms.s)
-    beta = complex(root * (u1 / u0), root * (u2 / u0)) - forms.g1 if u0 else None
-    if beta is None or not forms.evaluate(beta, scenario.abs_alpha_sq) < 1.0:
+    beta = _shift(forms, u)
+    if beta is None or not forms.evaluate(beta, m) < 1.0:
         raise UnboundedOptimum(
             f"alpha = {alpha}, kz = {kz}: the pencil minimum F = {f_min!r} is "
             f"approached only as |beta| grows without bound")
     return _report(scenario, forms, beta)
 
 
-def _golden_section(func, lo: float, hi: float, rel_tol: float) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = func(c), func(d)
+def _length_slope(alpha: complex, kz: float) -> float:
+    """dF_min/dkz at kz: the kz-derivative of F at the pencil's optimal shift
+    beta*, with beta* held fixed (FanoForms.slope). Refused by name where the
+    pencil gives no finite beta* (no gain above GAIN_TOL, or u0 = 0) or the
+    slope is not finite."""
+    scenario = KerrScenario(alpha, kz)
+    m = scenario.abs_alpha_sq
+    forms = fano_forms(scenario, rate=True)
+    f_min, u = _pencil(forms, m)
+    beta = _shift(forms, u) if 1.0 - f_min > GAIN_TOL else None
+    slope = forms.slope(beta, m) if beta is not None else math.nan
+    if not math.isfinite(slope):
+        raise BelowResolution(
+            f"alpha = {alpha}, kz = {kz!r}: the pencil minimum F = {f_min!r} gives no "
+            f"finite dF_min/dkz; doubles do not resolve the length optimum here")
+    return slope
+
+
+def _slope_root(slope, kz0: float, rel_tol: float) -> float:
+    """A root of slope(kz) near kz0, to a bracket of rel_tol kz; a slope of 0
+    counts as positive.
+
+    A sign bracket comes first: steps from kz0 toward descent (to the right
+    where slope(kz0) < 0), each ratio the square of the last, stopping at
+    [0.2, 2.5] kz0. Then Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    168 (1971)) keeps the bracket, and bisects where the secant point is not
+    strictly inside it, as the zero finder of Brent, Algorithms for
+    Minimization without Derivatives (1973), ch. 4, is guarded."""
+    f0 = slope(kz0)
+    limit = 2.5 * kz0 if f0 < 0.0 else 0.2 * kz0
+    near, f_near, ratio = kz0, f0, BRACKET_RATIO
+    while True:
+        far = min(near * ratio, limit) if f0 < 0.0 else max(near / ratio, limit)
+        f_far = slope(far)
+        if (f_far < 0.0) != (f0 < 0.0):
+            break
+        if far == limit:
+            raise NonConvergence(
+                f"dF_min/dkz keeps its sign from kz = {kz0!r} to {limit!r}, the end "
+                f"of [0.2, 2.5] times the length estimate")
+        near, f_near, ratio = far, f_far, ratio * ratio
+    (lo, f_lo), (hi, f_hi) = sorted(((near, f_near), (far, f_far)))
+    # Illinois: the slope of an end kept twice in a row is halved in the
+    # secant, so that both ends close in. The last secant, on the bracket
+    # within tolerance, takes the slopes themselves; its error is of the
+    # order of the square of the bracket's width.
+    weight_lo = weight_hi = 1.0
+    side = 0
     for _ in range(MAX_ITER):
-        if (hi - lo) <= rel_tol * (abs(lo) + abs(hi)) / 2.0:
-            return (lo + hi) / 2.0
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = func(c)
+        done = hi - lo <= rel_tol * lo
+        a, b = (f_lo, f_hi) if done else (f_lo * weight_lo, f_hi * weight_hi)
+        kz = (lo * b - hi * a) / (b - a)
+        if not lo < kz < hi:
+            kz = lo + (hi - lo) / 2.0
+        if done:
+            return kz
+        f = slope(kz)
+        if f < 0.0:
+            lo, f_lo, weight_lo = kz, f, 1.0
+            weight_hi = weight_hi / 2.0 if side < 0 else 1.0
+            side = -1
         else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = func(d)
-    raise NonConvergence(f"golden section exceeded {MAX_ITER} iterations")
+            hi, f_hi, weight_hi = kz, f, 1.0
+            weight_lo = weight_lo / 2.0 if side > 0 else 1.0
+            side = 1
+    raise NonConvergence(f"length search: the dF_min/dkz bracket [{lo!r}, {hi!r}] is "
+                         f"not within rel_tol = {rel_tol!r} after {MAX_ITER} iterations")
 
 
 def optimize_length(alpha: complex, rel_tol: float = LENGTH_REL_TOL) -> Optimum:
-    """Minimize over the medium length: kz -> rayleigh_lower_bound at (alpha, kz).
-
-    Golden-section search on [0.2, 2.5] times the analytic length estimate,
-    to a relative kz tolerance of rel_tol within MAX_ITER iterations; the
-    shift is then solved at the best length.
-    """
+    """Minimize over the medium length: the root of dF_min/dkz near the
+    analytic length estimate, to a kz bracket of rel_tol kz within MAX_ITER
+    iterations (_slope_root); the shift is then solved at that length. A
+    rel_tol below MIN_LENGTH_REL_TOL may never be met: NonConvergence."""
     if abs(alpha) < MIN_ALPHA:
         raise ValueError(f"optimize_length requires |alpha| >= {MIN_ALPHA:g}")
-    kz_scale = kz_opt_approx(abs(alpha))
-    kz_best = _golden_section(lambda kz: rayleigh_lower_bound(KerrScenario(alpha, kz)),
-                              0.2 * kz_scale, 2.5 * kz_scale, rel_tol)
-    return optimize_beta(KerrScenario(alpha, kz_best))
+    kz = _slope_root(lambda kz: _length_slope(alpha, kz), kz_opt_approx(abs(alpha)), rel_tol)
+    return optimize_beta(KerrScenario(alpha, kz))
 
 
 def sweep_length(alpha: complex, kz_values) -> list[Optimum]:
@@ -241,4 +307,4 @@ def sweep_length(alpha: complex, kz_values) -> list[Optimum]:
 def rayleigh_lower_bound(scenario: KerrScenario) -> float:
     """The pencil minimum of F over every complex shift: the smallest
     generalized eigenvalue that optimize_beta solves for."""
-    return _pencil(scenario)[0]
+    return _pencil(fano_forms(scenario), scenario.abs_alpha_sq)[0]

@@ -104,6 +104,26 @@ def test_optimize_full_length(tmp_path):
     assert row["fano_min"] == pytest.approx(0.0203, rel=0.02)
 
 
+@pytest.mark.parametrize("alpha", ["1e7", "1e10", "1e20", "1e50", "1e100", "1e150"])
+def test_optimize_length_at_huge_amplitudes(alpha, tmp_path, capsys):
+    # F_min, about 0.413 |alpha|^(-4/3), sinks below what doubles resolve
+    # from |alpha| of about 1e12 on. The length optimum then ends with a
+    # positive F or a named refusal: never in a traceback, a warning or an
+    # F at or below 0 (1e20 and 1e50 once printed F = -2.2e-16, "nan dB")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(["optimize", alpha], tmp_path, "opt.json")
+    err = capsys.readouterr().err
+    if code == 0:
+        payload = read_json(out)
+        row = dict(zip(payload["data"]["columns"], payload["data"]["rows"][0]))
+        assert row["fano_min"] > 0.0
+        assert err == ""
+    else:
+        assert code in (2, 3)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_nonconvergence_exit_3(monkeypatch, capsys):
     from kerrshift.errors import NonConvergence
     import kerrshift.cli as cli_mod
@@ -652,6 +672,10 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["photon-dist", "1", "0", "250"], None,
      "displacement by |delta| = 250 needs 65532 levels, above the limit "
      "MAX_FOCK_DIM = 60000"),
+    (["optimize", "1e20"], None, "is not positive at beta = "),
+    (["optimize", "1e50"], None, "gives no finite dF_min/dkz; doubles do not resolve"),
+    (["optimize", "10", "--tol-kz", "1e-300"], None,
+     "tol_kz: 1e-300 is below the limit MIN_LENGTH_REL_TOL = 2.220446049250313e-16"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -667,7 +691,8 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "fano-beta-1e300", "fano-mean-overflow", "fano-variance-overflow",
         "optimize-denominator-floor", "fano-kz-1e308", "optimize-kz-1e308",
         "optimize-alpha-1-kz-1e308", "photon-dist-kz-n-squared", "wigner-kz-1e308",
-        "fano-alpha-sq-kz", "photon-dist-fock-dim"])
+        "fano-alpha-sq-kz", "photon-dist-fock-dim", "optimize-alpha-1e20",
+        "optimize-alpha-1e50", "optimize-tol-kz-1e-300"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

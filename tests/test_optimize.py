@@ -140,6 +140,73 @@ def test_nonconvergence_raises():
         optimize_length(10.0, rel_tol=0.0)
 
 
+def _fano_min_mp(alpha: float, kz):
+    """The pencil minimum of F over every shift at (|alpha|, kz), in mpmath at
+    the working precision: the smallest eigenvalue of the bracket form K
+    against the denominator form B = [[1, Re g1, Im g1], [Re g1, 1, 0],
+    [Im g1, 0, 1]] over v = (1, Re beta, Im beta), by a Cholesky factor of B."""
+    a2 = mpmath.mpf(alpha) ** 2
+    g1 = mpmath.exp(a2 * (mpmath.expj(2 * kz) - 1) - 2j * a2 * kz)
+    g2 = mpmath.exp(a2 * (mpmath.expj(4 * kz) - 1) - 4j * a2 * kz)
+    c = (mpmath.expj(-2 * kz) - 1) * mpmath.conj(g1)
+    w = mpmath.expj(-2 * kz) * mpmath.conj(g2) - mpmath.conj(g1) ** 2
+    s = 1 - abs(g1) ** 2
+    k = mpmath.matrix([[0, 2 * c.real, -2 * c.imag],
+                       [2 * c.real, 2 * (w.real + s), -2 * w.imag],
+                       [-2 * c.imag, -2 * w.imag, 2 * (s - w.real)]])
+    b = mpmath.matrix([[1, g1.real, g1.imag], [g1.real, 1, 0], [g1.imag, 0, 1]])
+    l_inv = mpmath.cholesky(b) ** -1
+    a = l_inv * k * l_inv.T
+    return 1 + a2 * min(mpmath.eigsy((a + a.T) / 2, eigvals_only=True))
+
+
+def _slope_mp(alpha: float, kz):
+    """dF_min/dkz at 60 digits, by mpmath's numerical derivative."""
+    with mpmath.workdps(60):
+        return mpmath.diff(lambda k: _fano_min_mp(alpha, k), mpmath.mpf(kz))
+
+
+def test_length_slope_matches_60_digits():
+    # the envelope slope, dF/dkz at the pencil's shift held fixed, against the
+    # derivative of the 60-digit pencil minimum, across [0.2, 2.5] times the
+    # length estimate. Its error, in units of F_min / kz, grows with |alpha|
+    # as the pencil's conditioning does: 2e-15 at 2, 3e-14 at 10, 4e-13 at
+    # 100 and 1.1e-11 at 1e3
+    for alpha in (2.0, 10.0, 100.0, 1e3):
+        for frac in (0.2, 0.9, 1.0, 1.1, 2.5):
+            kz = frac * kz_opt_approx(alpha)
+            slope = optimize_mod._length_slope(alpha, kz)
+            exact = _slope_mp(alpha, kz)
+            scale = rayleigh_lower_bound(KerrScenario(alpha, kz)) / kz
+            assert abs(slope - float(exact)) <= 1e-10 * scale, (alpha, frac)
+
+
+@pytest.mark.parametrize("alpha, rel_tol", [(2.0, 1e-9), (10.0, 1e-9), (100.0, 1e-9),
+                                            (1e3, 1e-9), (1e4, optimize_mod.LENGTH_REL_TOL),
+                                            (1e5, optimize_mod.LENGTH_REL_TOL)])
+def test_length_optimum_matches_60_digit_root(alpha, rel_tol):
+    # the root of the 60-digit slope, against optimize_length at its default
+    # tolerance. The golden section this search replaced was off by 4.1e-8,
+    # 1.3e-7, 7.0e-7, 2.0e-7, 1.1e-4 and 1.0e-3 at these amplitudes
+    kz = optimize_length(alpha).kz
+    with mpmath.workdps(60):
+        root = mpmath.findroot(lambda k: _slope_mp(alpha, k),
+                               (mpmath.mpf(kz), mpmath.mpf(kz) * (1 + mpmath.mpf(1e-6))),
+                               tol=mpmath.mpf(10) ** -40, verify=False)
+        assert abs(kz - root) <= rel_tol * root
+
+
+def test_slope_root_bisects_where_the_secant_overflows():
+    # slopes of +-1e308 overflow the secant's denominator: each step bisects
+    root = optimize_mod._slope_root(lambda kz: math.copysign(1e308, kz - 1.01), 1.0, 1e-9)
+    assert root == pytest.approx(1.01, rel=1e-9)
+
+
+def test_slope_root_refuses_a_slope_that_keeps_its_sign():
+    with pytest.raises(NonConvergence, match="keeps its sign"):
+        optimize_mod._slope_root(lambda kz: kz - 3.0, 1.0, 1e-6)
+
+
 def test_optimum_tie_break_prefers_small_shift():
     # at vanishing kz the landscape is flat at F = 1; the zero shift wins
     opt = optimize_beta(KerrScenario(6.0, 1e-15))
