@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 2 validation failure, 3 search
 non-convergence, 4 reproduction tolerance miss (artifact still written).
 Artifacts are deterministic for fixed inputs: no timestamps, fixed key order,
-17 significant digits.
+17 significant digits (a wigner map writes the cells below its meta w_floor
+as 0).
 
 Every input in the INPUTS table has one parser, which reads its flag or
 positional and its --config key alike, and resolves by one precedence: the
@@ -54,7 +55,7 @@ from .optimize import (
     sweep_length,
 )
 from .reproduce import TARGETS, build
-from .serialize import Artifact, read_key_values
+from .serialize import Artifact, Grid, read_key_values
 from .waveguide import (
     BeamSpec,
     WaveguideSpec,
@@ -66,7 +67,7 @@ from .waveguide import (
     load_preset,
     z_opt_physical,
 )
-from .wigner import auto_window, narrowest_width, wigner
+from .wigner import W_FLOOR_EPS, auto_window, narrowest_width, wigner
 
 
 class CliError(ValueError):
@@ -285,6 +286,10 @@ def cmd_wigner(args, config: dict):
     grid = wigner(state, center=center, half_width=half_width, resolution=args.resolution)
 
     integral, w_max = grid.integral(), float(grid.values.max())
+    # cells below the map's rounding floor carry no digit of W: written as 0
+    w_floor = W_FLOOR_EPS * sys.float_info.epsilon * 2.0 / math.pi
+    written = Grid(grid.xs, grid.ys,
+                   np.where(np.abs(grid.values) < w_floor, 0.0, grid.values))
     step, width = 2.0 * half_width / (args.resolution - 1), narrowest_width(state)
     resolved = step <= width
     if not resolved:
@@ -296,11 +301,11 @@ def cmd_wigner(args, config: dict):
                             "center_re": center.real, "center_im": center.imag,
                             "half_width": half_width, "resolution": args.resolution},
                  shift_re=shift.real, shift_im=shift.imag, integral=integral,
-                 w_max=w_max, n_trunc=state.n_trunc, grid_step=step,
+                 w_max=w_max, w_floor=w_floor, n_trunc=state.n_trunc, grid_step=step,
                  narrowest_width=width, resolved=resolved)
     human = [f"grid {args.resolution}x{args.resolution}, window half-width {half_width:.6g}",
              f"integral = {integral:.6g}, max W = {w_max:.6g}"]
-    return Artifact(meta, ["x", "y", "w"], grid), human
+    return Artifact(meta, ["x", "y", "w"], written), human
 
 
 def cmd_photon_dist(args, config: dict):

@@ -135,10 +135,12 @@ def _normalized(amplitudes: np.ndarray, tail_mass: float) -> FockState:
     return FockState(amplitudes, len(amplitudes) - 1, float(tail_mass))
 
 
-def _levels(r: float) -> int:
+def _levels(r: float) -> float:
     """ceil(r^2 + 10 r + 20): the top level of a coherent state's basis at
-    amplitude r, ten standard deviations and 20 levels above the mean."""
-    return int(np.ceil(r * r + 10.0 * r + 20.0))
+    amplitude r, ten standard deviations and 20 levels above the mean. A
+    float, inf where r^2 overflows; r is a Python float, which overflows
+    without a warning."""
+    return float(np.ceil(r * r + 10.0 * r + 20.0))
 
 
 def coherent_state(alpha: complex) -> FockState:
@@ -155,8 +157,8 @@ def coherent_state(alpha: complex) -> FockState:
     if a > MAX_AMPLITUDE:
         raise AmplitudeTooLarge(
             f"|alpha| = {a} exceeds the Fock engine cap {MAX_AMPLITUDE}")
-    n_trunc = _levels(a)
-    weights = np.ldexp(*_column_zero(a, _levels(a + 2.0) + 1))
+    n_trunc = int(_levels(a))
+    weights = np.ldexp(*_column_zero(a, int(_levels(a + 2.0)) + 1))
     phase = np.exp(1j * np.angle(alpha) * np.arange(n_trunc + 1))
     return _normalized(weights[:n_trunc + 1] * phase,
                        math.fsum((weights[n_trunc + 1:] ** 2).tolist()))
@@ -569,12 +571,15 @@ def displace(state: FockState, delta: complex) -> FockState:
         return state
     probs = photon_distribution(state)
     mean = float(probs @ np.arange(state.n_trunc + 1))
-    r = np.sqrt(mean) + abs(delta)
-    n_max = max(state.n_trunc + int(np.ceil(10.0 * (abs(delta) + 1.0))), _levels(r))
-    if n_max + 1 > MAX_FOCK_DIM:
+    # sized in floating point first: a huge shift makes r^2 inf
+    shift = float(abs(delta))
+    r = math.sqrt(mean) + shift
+    n_max = max(state.n_trunc + float(np.ceil(10.0 * (shift + 1.0))), _levels(r))
+    if not n_max + 1 <= MAX_FOCK_DIM:
         raise TruncationUnachievable(
-            f"displacement by |delta| = {abs(delta):.6g} needs {n_max + 1} levels, "
+            f"displacement by |delta| = {shift:.6g} needs {n_max + 1:.6g} levels, "
             f"above the limit MAX_FOCK_DIM = {MAX_FOCK_DIM}")
+    n_max = int(n_max)
     band = _band(abs(delta), n_max, state.n_trunc)
     # the columns below n_lo carry at most 1e-30 of the state's mass
     n_lo = int(np.searchsorted(np.cumsum(probs), _SUPPORT_TOL, side="right"))

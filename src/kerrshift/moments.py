@@ -82,10 +82,12 @@ def shift_amplitude(scenario: KerrScenario, setting: DisplacementSetting) -> com
 
     At tau = 1 this is exactly the displacement D(alpha_S) applied to the
     Kerr-evolved state, which is how the Fock engine realizes the mixing.
+    The phase 2 (|a|^2 kz) takes the product first, so it stays finite
+    wherever |a|^2 kz is, and the factor 2 is exact.
     """
     return complex(setting.beta * setting.tau * scenario.alpha
                    * np.exp(1j * scenario.kz)
-                   * np.exp(2j * scenario.abs_alpha_sq * scenario.kz))
+                   * np.exp(2j * (scenario.abs_alpha_sq * scenario.kz)))
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,9 @@ def optimize_length(alpha: complex, rel_tol: float = LENGTH_REL_TOL) -> Optimum:
     rel_tol below MIN_LENGTH_REL_TOL may never be met: NonConvergence."""
     if abs(alpha) < MIN_ALPHA:
         raise ValueError(f"optimize_length requires |alpha| >= {MIN_ALPHA:g}")
+    # KerrScenario's checks on alpha first: kz_opt_approx overflows past
+    # |alpha| ~ 1.5e231, where |alpha|^2 is long past finite
+    KerrScenario(alpha, 0.0)
     kz = _slope_root(lambda kz: _length_slope(alpha, kz), kz_opt_approx(abs(alpha)), rel_tol)
     return optimize_beta(KerrScenario(alpha, kz))
 

@@ -14,7 +14,10 @@ through one '%'-template, so the formatting runs in C with no per-cell
 Python dispatch. A Grid formats each axis value once and puts it in the
 template as text; only its values are filled in. Every array cell is
 written '%.17g', which is fmt_float's text for every double (-0, inf and
-nan included); integral values below 2**53 print as integers.
+nan included); integral values below 2**53 print as integers. A wigner
+artifact's Grid holds 0 in every cell whose |W| is below its meta w_floor
+(cli.cmd_wigner), so those cells are written 0; the others are written as
+every cell is.
 
 Artifact.write sends those blocks to a stream one at a time, so writing a
 table holds one block of its text, not all of it; Artifact.render joins the
@@ -207,7 +210,8 @@ class Artifact:
     `rows` is a list of lists, with cells of any type, a 2-D real numpy
     array, or a Grid. Every cell of an array or a Grid is written '%.17g'
     (see the module docstring); integral values below 2**53 print as
-    integers. `columns` heads the table; the JSON of a Grid is
+    integers, and a wigner artifact writes its cells below meta w_floor as
+    0. `columns` heads the table; the JSON of a Grid is
     {"xs", "ys", "values"} in place of {"columns", "rows"}.
 
     write(stream, fmt) writes the artifact in blocks of rows; render(fmt)

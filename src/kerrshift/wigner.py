@@ -41,6 +41,20 @@ each lattice point carries a log scale: the recurrence starts from the
 mantissa pi^{-1/4} at scale -q^2/2, and whenever a mantissa passes _RESCALE
 the mantissas and the running sum of that point are divided by _RESCALE and
 its scale raised by log _RESCALE.
+
+Rounding floor. Re-evaluated in long double at the written coordinates (the
+lattice through each q_i, with the same h and K), the double grid is off by
+at most 233 eps 2/pi (eps = 2.2e-16) over 70 random states with n_trunc up to
+6700: 22-26 eps 2/pi on alpha ~ 10 length optima at 201^2, 10-22 on alpha =
+5 Kerr maps, up to 233 on states of n_trunc above 1000. Most of it comes from
+psi's recurrence, and it grows with n_trunc. The unit is eps 2/pi, not eps
+max|W|: the terms of the folded sum add up in size to at most about 2/pi
+(Cauchy-Schwarz on int |psi(q + s) psi(q - s)| ds <= 1) however far the Kerr
+phase spreads the state, while max|W| falls as it spreads (0.04 at alpha =
+45), so the same errors span 0.1 to over 4000 eps max|W|. A wigner artifact
+writes a cell as 0 where |W| < w_floor = W_FLOOR_EPS eps 2/pi, 4.4 times the
+largest error measured, and every other cell as wigner() returns it;
+wigner() itself returns unfloored values.
 """
 
 from __future__ import annotations
@@ -70,6 +84,9 @@ _RESCALE = 1e150
 # margin added to the radius sqrt(n_hi)
 AUTO_QUANTILE = 1e-9
 AUTO_MARGIN = 3.0
+# The rounding floor of a map in units of eps 2/pi, 4.4 times the largest
+# error measured (module docstring): w_floor = 1.4e-13.
+W_FLOOR_EPS = 1024
 
 
 def _wavefunction(amplitudes: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from kerrshift.fock import (
 from kerrshift.moments import DisplacementSetting, fano_displaced, shift_amplitude
 from kerrshift.optimize import optimize_beta
 from kerrshift.serialize import Artifact, to_json_text
-from kerrshift.wigner import auto_window, wigner
+from kerrshift.wigner import W_FLOOR_EPS, auto_window, wigner
 
 
 def run(args, tmp_path=None, out_name=None):
@@ -277,11 +277,23 @@ def test_wigner_artifacts_match_a_per_cell_rendering(tmp_path):
     center, half_width = auto_window(state)
     grid = wigner(state, center=center, half_width=half_width, resolution=21)
     xs, ys = [float(v) for v in grid.xs], [float(v) for v in grid.ys]
-    values = [[float(v) for v in row] for row in grid.values]
+    # the artifact writes the cells below its floor as 0
+    w_floor = meta["w_floor"]
+    assert w_floor == W_FLOOR_EPS * sys.float_info.epsilon * 2.0 / math.pi
+    assert meta["w_max"] == float(grid.values.max())
+    values = [[0.0 if abs(v) < w_floor else float(v) for v in row] for row in grid.values]
     assert json_text == to_json_text(
         {"meta": meta, "data": {"xs": xs, "ys": ys, "values": values}})
     rows = [[x, y, values[i][j]] for i, x in enumerate(xs) for j, y in enumerate(ys)]
     assert csv_text == Artifact(meta, ["x", "y", "w"], rows).render("csv")
+    # every cell written 0 is below the floor; every other one is the
+    # unfloored '%.17g'
+    cells = [line.rsplit(",", 1)[1] for line in csv_text.splitlines()
+             if not line.startswith("#")][1:]
+    unfloored = grid.values.ravel().tolist()
+    zeros = [w for text, w in zip(cells, unfloored) if text == "0"]
+    assert 0 < len(zeros) < len(cells) and all(abs(w) < w_floor for w in zeros)
+    assert all(text == "%.17g" % w for text, w in zip(cells, unfloored) if text != "0")
 
 
 def test_wigner_csv_and_json_carry_the_same_values(tmp_path):
@@ -676,6 +688,16 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["optimize", "1e50"], None, "gives no finite dF_min/dkz; doubles do not resolve"),
     (["optimize", "10", "--tol-kz", "1e-300"], None,
      "tol_kz: 1e-300 is below the limit MIN_LENGTH_REL_TOL = 2.220446049250313e-16"),
+    (["photon-dist", "1", "0.01", "1e160"], None,
+     "displacement by |delta| = 1e+160 needs inf levels, above the limit MAX_FOCK_DIM"),
+    (["wigner", "1", "0.01", "--beta", "1e200", "--resolution", "11"], None,
+     "displacement by |delta| = 1e+200 needs inf levels, above the limit MAX_FOCK_DIM"),
+    (["photon-dist", "1", "0.01", "1e154"], None,
+     "displacement by |delta| = 1e+154 needs 1e+308 levels, above the limit MAX_FOCK_DIM"),
+    (["optimize", "1.6e231"], None,
+     "alpha must have a finite |alpha|^2, got |alpha| = 1.6e+231"),
+    (["wigner", "1e154", "1e-308", "--resolution", "11"], None,
+     "|alpha| = 1e+154 exceeds the Fock engine cap"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -692,7 +714,9 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "optimize-denominator-floor", "fano-kz-1e308", "optimize-kz-1e308",
         "optimize-alpha-1-kz-1e308", "photon-dist-kz-n-squared", "wigner-kz-1e308",
         "fano-alpha-sq-kz", "photon-dist-fock-dim", "optimize-alpha-1e20",
-        "optimize-alpha-1e50", "optimize-tol-kz-1e-300"])
+        "optimize-alpha-1e50", "optimize-tol-kz-1e-300", "photon-dist-shift-1e160",
+        "wigner-shift-1e200", "photon-dist-levels-g", "optimize-alpha-1.6e231",
+        "wigner-phase-overflow"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

@@ -21,6 +21,7 @@ from kerrshift.fock import (
 from kerrshift.moments import DisplacementSetting, shift_amplitude
 from kerrshift.wigner import (
     MAX_WIGNER_BYTES,
+    W_FLOOR_EPS,
     auto_window,
     narrowest_width,
     wigner,
@@ -202,6 +203,66 @@ def test_folded_sum_equals_the_unfolded_sum(state, center, half_width):
     scale = np.max(np.abs(expected))
     assert imag_residue < 1e-14 * scale
     assert np.max(np.abs(grid.values - expected)) <= 1e-14 * scale
+
+
+def long_double_rows(state, xs, ys, rows):
+    """W on the given rows of the grid xs x ys: the folded sum of
+    _wigner_grid on its lattice (the same m and K), with psi, the phases and
+    the sum in long double. No rescaling: long double holds e^{-q^2/2} at
+    every |q| <= radius."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    radius = np.sqrt(2.0 * state.n_trunc + 1.0) + wigner_module.SUPPORT_MARGIN
+    dq = (np.sqrt(2.0) * (xs[-1] - xs[0])) / (len(xs) - 1)
+    m = int(np.floor(dq / (np.pi / (np.sqrt(2.0) * np.max(np.abs(ys)) + radius)))) + 1
+    k_max = int(np.ceil(radius / (dq / m)))
+    q, p = np.sqrt(ld(2)) * xs.astype(ld), np.sqrt(ld(2)) * ys.astype(ld)
+    h = (q[-1] - q[0]) / (len(q) - 1) / m
+    lattice = q[0] + h * np.arange(-k_max, (len(q) - 1) * m + k_max + 1).astype(ld)
+    inside = np.abs(lattice) <= radius
+    x = lattice[inside]
+    prev, cur = np.zeros_like(x), pi ** ld(-0.25) * np.exp(-x * x / 2)
+    re, im = ld(state.amplitudes[0].real) * cur, ld(state.amplitudes[0].imag) * cur
+    for n, c in enumerate(state.amplitudes[1:].tolist()):
+        prev, cur = cur, np.sqrt(ld(2) / (n + 1)) * x * cur - np.sqrt(ld(n) / (n + 1)) * prev
+        re += ld(c.real) * cur
+        im += ld(c.imag) * cur
+    psi = np.zeros(len(lattice), dtype=np.clongdouble)
+    psi[inside] = re + 1j * im
+    phase = np.multiply.outer(-2 * h * np.arange(1, k_max + 1).astype(ld), p)
+    at = m * np.asarray(rows)[:, None] + k_max
+    ks = np.arange(1, k_max + 1)
+    kern = np.conj(psi[at + ks]) * psi[at - ks]
+    total = kern.real @ np.cos(phase) + kern.imag @ np.sin(phase)
+    return 4 * h / pi * (np.abs(psi[at]) ** 2 / 2 + total)
+
+
+def _displaced_optimum(alpha):
+    opt = length_optimum(alpha)
+    return displace(kerr_evolve(coherent_state(alpha), opt.kz),
+                    shift_amplitude(KerrScenario(alpha, opt.kz),
+                                    DisplacementSetting(beta=opt.beta_opt)))
+
+
+@pytest.mark.skipif(not np.finfo(np.longdouble).eps < 1e-18,
+                    reason="np.longdouble is no wider than a double here, so it "
+                           "cannot measure a double's rounding error")
+@pytest.mark.parametrize("make, resolution", [
+    (lambda: _displaced_optimum(10.0), 201),
+    (lambda: kerr_evolve(coherent_state(5.0), 0.12), 201),
+    (lambda: coherent_state(3.0 - 4.0j), 201),
+    (lambda: _displaced_optimum(30.0), 21),
+], ids=["alpha-10-optimum", "kerr-alpha-5", "coherent-alpha-5", "alpha-30-optimum"])
+def test_rounding_error_is_below_a_quarter_of_the_floor(make, resolution):
+    # the floor a wigner artifact writes 0 below sits 4x above the grid's
+    # rounding error, here measured on 21 rows against long double
+    state = make()
+    center, half_width = auto_window(state)
+    grid = wigner(state, center=center, half_width=half_width, resolution=resolution)
+    rows = np.linspace(0, resolution - 1, 21).round().astype(int)
+    expected = long_double_rows(state, grid.xs, grid.ys, rows)
+    w_floor = W_FLOOR_EPS * np.finfo(float).eps * TWO_OVER_PI
+    assert np.max(np.abs(grid.values[rows] - expected)) <= w_floor / 4
 
 
 def test_wide_window_does_not_alias():
