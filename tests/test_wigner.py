@@ -213,8 +213,9 @@ def long_double_rows(state, xs, ys, rows):
     ld = np.longdouble
     pi = 4 * np.arctan(ld(1))
     radius = np.sqrt(2.0 * state.n_trunc + 1.0) + wigner_module.SUPPORT_MARGIN
-    dq = (np.sqrt(2.0) * (xs[-1] - xs[0])) / (len(xs) - 1)
-    m = int(np.floor(dq / (np.pi / (np.sqrt(2.0) * np.max(np.abs(ys)) + radius)))) + 1
+    q, p = np.sqrt(2.0) * xs, np.sqrt(2.0) * ys
+    dq = (q[-1] - q[0]) / (len(q) - 1)
+    m = int(np.floor(dq / (np.pi / (np.max(np.abs(p)) + radius)))) + 1
     k_max = int(np.ceil(radius / (dq / m)))
     q, p = np.sqrt(ld(2)) * xs.astype(ld), np.sqrt(ld(2)) * ys.astype(ld)
     h = (q[-1] - q[0]) / (len(q) - 1) / m
