@@ -67,7 +67,7 @@ from .waveguide import (
     load_preset,
     z_opt_physical,
 )
-from .wigner import W_FLOOR_EPS, auto_window, narrowest_width, wigner
+from .wigner import W_FLOOR, auto_window, narrowest_width, wigner
 
 
 class CliError(ValueError):
@@ -243,12 +243,15 @@ def _kz_grid(args) -> list[float]:
     if args.kz_points > MAX_KZ_POINTS:
         raise CliError(f"kz-points: {args.kz_points} is above the limit "
                        f"MAX_KZ_POINTS = {MAX_KZ_POINTS}")
-    if not args.kz_log:
-        return list(np.linspace(args.kz_min, args.kz_max, args.kz_points))
-    for field, value in (("kz-min", args.kz_min), ("kz-max", args.kz_max)):
-        if not value > 0:
-            raise CliError(f"{field}: must be positive with --kz-log, got {value}")
-    return list(np.geomspace(args.kz_min, args.kz_max, args.kz_points))
+    # a grid reaching past the largest double gets inf or nan points, which
+    # KerrScenario refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not args.kz_log:
+            return list(np.linspace(args.kz_min, args.kz_max, args.kz_points))
+        for field, value in (("kz-min", args.kz_min), ("kz-max", args.kz_max)):
+            if not value > 0:
+                raise CliError(f"{field}: must be positive with --kz-log, got {value}")
+        return list(np.geomspace(args.kz_min, args.kz_max, args.kz_points))
 
 
 def cmd_sweep_length(args, config: dict):
@@ -287,9 +290,8 @@ def cmd_wigner(args, config: dict):
 
     integral, w_max = grid.integral(), float(grid.values.max())
     # cells below the map's rounding floor carry no digit of W: written as 0
-    w_floor = W_FLOOR_EPS * sys.float_info.epsilon * 2.0 / math.pi
     written = Grid(grid.xs, grid.ys,
-                   np.where(np.abs(grid.values) < w_floor, 0.0, grid.values))
+                   np.where(np.abs(grid.values) < W_FLOOR, 0.0, grid.values))
     step, width = 2.0 * half_width / (args.resolution - 1), narrowest_width(state)
     resolved = step <= width
     if not resolved:
@@ -301,7 +303,7 @@ def cmd_wigner(args, config: dict):
                             "center_re": center.real, "center_im": center.imag,
                             "half_width": half_width, "resolution": args.resolution},
                  shift_re=shift.real, shift_im=shift.imag, integral=integral,
-                 w_max=w_max, w_floor=w_floor, n_trunc=state.n_trunc, grid_step=step,
+                 w_max=w_max, w_floor=W_FLOOR, n_trunc=state.n_trunc, grid_step=step,
                  narrowest_width=width, resolved=resolved)
     human = [f"grid {args.resolution}x{args.resolution}, window half-width {half_width:.6g}",
              f"integral = {integral:.6g}, max W = {w_max:.6g}"]

@@ -14,8 +14,8 @@ Cahill-Glauber three-term recurrence for the matrix elements (Phys. Rev. 177,
 1857 (1969)) runs column by column over the state's support, on a band of
 diagonals sized from Szegő's bound on the Laguerre polynomials, each
 diagonal carrying its own binary exponent. The run starts a band below the
-state's support, seeded there by Miller's downward recurrence in the order,
-and not at column 0. Memory is O(n_max), so a state displaces within
+state's support, seeded there from one column of Miller's downward
+recurrence in the order. Memory is O(n_max), so a state displaces within
 DISPLACE_DEFECT_TOL wherever its target basis fits MAX_FOCK_DIM levels:
 for sqrt(<n>) + |delta| up to about 240, which takes in the length optimum
 at |alpha| = MAX_AMPLITUDE = 200 (about 4.3e4 levels).
@@ -60,6 +60,11 @@ _MAX_ABS_ALPHA = math.sqrt(sys.float_info.max)
 # forms take the sine of 4 kz and |alpha|^2 (sin 4kz - 4kz), which is at most
 # |alpha|^2 (4 kz + 1) in size; below half the largest double both are finite.
 MAX_KERR_PHASE = sys.float_info.max / 2
+# Largest Kerr phase kz n^2 that kerr_evolve() forms, rounded by up to
+# 2^-20 rad: F then moves by up to 1e-7 relative, and far above it (kz =
+# 1e300 at |alpha| = 1) nothing of F is left. It holds every kz < pi up to
+# n_trunc = 52 000, past the basis of |alpha| = MAX_AMPLITUDE.
+MAX_FOCK_KERR_PHASE = 2.0 ** 33
 
 NORM_TOL = 1e-12
 # Largest norm defect of a truncated displacement that displace() accepts;
@@ -172,9 +177,10 @@ def kerr_evolve(state: FockState, kz: float) -> FockState:
     if not np.isfinite(kz):
         raise ValueError("kz must be finite")
     top = float(state.n_trunc)
-    if not math.isfinite(kz * top * top):
-        raise ValueError(f"kz = {kz!r}: the Kerr phase kz n^2 overflows at "
-                         f"n = n_trunc = {state.n_trunc}")
+    phase = abs(kz) * top * top
+    if not phase <= MAX_FOCK_KERR_PHASE:
+        raise ValueError(f"kz = {kz!r}: the Kerr phase kz n^2 = {phase:g} at n = n_trunc = "
+                         f"{state.n_trunc} is above MAX_FOCK_KERR_PHASE = 2^33")
     n = np.arange(state.n_trunc + 1, dtype=float)
     return FockState(state.amplitudes * np.exp(1j * (kz * n * n)), state.n_trunc,
                      state.tail_mass)
@@ -277,54 +283,41 @@ def poisson_probabilities(mean: float, size: int) -> np.ndarray:
     return weights * weights * np.exp(-np.arange(size) * math.log1p(-gap / mean) - gap)
 
 
-def _miller(delta_abs: float, n: int, band: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """T_{n-1}^k and T_n^k for k <= band, each column up to one factor
-    common to all its k, as mantissa in [0.5, 1) (or 0) times 2^exponent.
+def _miller(delta_abs: float, n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """T_n^k for k <= band, up to one factor common to all k, as mantissa
+    in [0.5, 1) (or 0) times 2^exponent; k = band too, so that _seed() has
+    T_n^1 at band = 1.
 
-    At fixed m the elements obey a three-term recurrence in the order
+    At fixed n the elements obey a three-term recurrence in the order
     (DLMF 18.9.13-14),
 
-        sqrt(x) sqrt(m+k+2) T^{k+2} = (k+1+x) T^{k+1} - sqrt(x) sqrt(m+k+1) T^k.
+        sqrt(x) sqrt(n+k+2) T^{k+2} = (k+1+x) T^{k+1} - sqrt(x) sqrt(n+k+1) T^k.
 
-    T_m^k is its minimal solution as k grows, so it runs downward (Miller's
+    T_n^k is its minimal solution as k grows, so it runs downward (Miller's
     algorithm: Gautschi, SIAM Rev. 9, 24 (1967); DLMF 3.6(iii)) from
     T^{2 band - 1} = 0 and T^{2 band - 2} = 1. The start's error shrinks
     with the ratio of the two solutions over the band - 1 diagonals above
     the band. Downward is stable only while k stays above the column's
-    lower turning point (sqrt m - |delta|)^2 - m, which is at or below 0
-    for m >= x / 4. The two columns run in one loop, each with its own
-    arithmetic and rescaling; the factors |delta| sqrt(n+k+j) they share
-    are formed once.
+    lower turning point (sqrt n - |delta|)^2 - n, which is at or below 0
+    for n >= x / 4.
     """
     x = delta_abs * delta_abs
-    # |delta| sqrt(n + k + 2) and |delta| sqrt(n + k + 1) at the first k
+    # |delta| sqrt(n + k + 2) at the first k
     top = delta_abs * math.sqrt(n + 2 * band - 1.0)
-    mid = delta_abs * math.sqrt(n + 2 * band - 2.0)
-    mant_prev, expo_prev, mant_now, expo_now = [0.0, 1.0], [0, 0], [0.0, 1.0], [0, 0]
-    up_prev, t_prev, e_prev, up_now, t_now, e_now = 0.0, 1.0, 0, 0.0, 1.0, 0
+    mant, expo = [0.0, 1.0], [0, 0]
+    up, t, e = 0.0, 1.0, 0
     for k in range(2 * band - 3, -1, -1):
-        low = delta_abs * math.sqrt(n + k)
-        a = k + 1.0 + x
-        # column n - 1 divides by |delta| sqrt(n + k), column n by |delta| sqrt(n + k + 1)
-        up_prev, t_prev = t_prev, (a * t_prev - mid * up_prev) / low
-        up_now, t_now = t_now, (a * t_now - top * up_now) / mid
-        if abs(t_prev) > _RESCALE:
-            up_prev, t_prev = up_prev / _RESCALE, t_prev / _RESCALE
-            e_prev += _RESCALE_BITS
-        if abs(t_now) > _RESCALE:
-            up_now, t_now = up_now / _RESCALE, t_now / _RESCALE
-            e_now += _RESCALE_BITS
-        mant_prev.append(t_prev)
-        expo_prev.append(e_prev)
-        mant_now.append(t_now)
-        expo_now.append(e_now)
-        top, mid = mid, low
-    cols = []
-    for mant, expo in ((mant_prev, expo_prev), (mant_now, expo_now)):
-        # the values were appended from k = 2 band - 1 down to k = 0
-        mant, shift = np.frexp(mant[:-band - 2:-1])
-        cols.append((mant, shift + np.array(expo[:-band - 2:-1], dtype=np.int64)))
-    return cols
+        low = delta_abs * math.sqrt(n + k + 1.0)
+        up, t = t, ((k + 1.0 + x) * t - top * up) / low
+        if abs(t) > _RESCALE:
+            up, t = up / _RESCALE, t / _RESCALE
+            e += _RESCALE_BITS
+        mant.append(t)
+        expo.append(e)
+        top = low
+    # the values were appended from k = 2 band - 1 down to k = 0
+    mant, shift = np.frexp(mant[:-band - 2:-1])
+    return mant, shift + np.array(expo[:-band - 2:-1], dtype=np.int64)
 
 
 def _tables(span: int, band: int) -> tuple[np.ndarray, ...]:
@@ -372,61 +365,57 @@ def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int, k: slice,
 
 def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.ndarray],
           tables: tuple[np.ndarray, ...]):
-    """Mantissas of T_{start-1}, T_start and d_start = T_start - T_{start-1}
-    for k < band, and the binary exponent of each diagonal.
+    """Mantissas of T_s and d_s = T_s - T_{s-1} for k < band, s = start, and
+    the binary exponent of each diagonal: that of the larger of |T_s^k| and
+    |d_s^k|, so every mantissa is at most 1 and none underflows.
 
-    The two columns come from _miller(), each known up to one factor. Both
-    are scaled at the anchor k*, the diagonal where the product of the two
-    is largest, and not at k = 0, which can sit near a zero of L_n. The
-    true T_{start-1}^{k*} and T_start^{k*} come from the column recurrence
-    run along that one diagonal from its T_0^{k*} in zero, a scalar loop of
-    `start` steps on coefficients from _steps(). Each diagonal's exponent
-    is that of the larger of its two elements, so every mantissa is at most
-    1 and none underflows.
+    T_s comes from _miller() up to one factor, fixed at the anchor k*, the
+    diagonal where |T_s^k| is largest and so never near a zero of L_s: the
+    true T_s^{k*} comes from the column recurrence run along that diagonal
+    from its T_0^{k*} in zero, a scalar loop of `start` steps on
+    coefficients from _steps(). d_s follows from T_s without cancellation:
+    L_s^k - L_{s-1}^k = L_s^{k-1} (DLMF 18.9.13) gives
+    T_{s-1}^k = sqrt((s+k)/s) T_s^k - sqrt(x/s) T_s^{k-1}, so
 
-    d is formed without cancellation: L_n^k - L_{n-1}^k = L_n^{k-1}
-    (DLMF 18.9.13) gives, with s = start,
-
-        d_s^k = |delta| T_s^{k-1} / sqrt(s+k) - k T_{s-1}^k / (sqrt(s+k) (sqrt(s+k) + sqrt s)),
+        d_s^k = |delta| T_s^{k-1} / sqrt s - k T_s^k / (sqrt s (sqrt s + sqrt(s+k))),
         d_s^0 = -|delta| T_{s-1}^1 / sqrt s.
 
     Where T changes slowly in n, T_s - T_{s-1} would keep only the last
-    digits of each column, and every column after it would inherit that
+    digits of each column, and every later column would inherit that
     rounding as a drift.
     """
-    cols = _miller(delta_abs, start, band)
-    with np.errstate(divide="ignore"):
-        size = sum(np.log2(np.abs(m[:band])) + e[:band] for m, e in cols)
-    anchor = int(np.argmax(size))
+    mant, expo = _miller(delta_abs, start, band)
+    anchor = int(np.argmax(np.ldexp(np.abs(mant[:band]), expo[:band] - expo.max())))
     # the diagonal k* from column 0 up to column `start`, in difference form
     b, c = np.empty((start, 1)), np.empty((start, 1))
     _steps(delta_abs * delta_abs, tables, 0, slice(anchor, anchor + 1), b, c,
            np.empty((start + 1, 1)))
-    before, now, e = 0.0, float(zero[0][anchor]), int(zero[1][anchor])
+    now, e = float(zero[0][anchor]), int(zero[1][anchor])
     diff = now
     for step_b, step_c in zip(b.ravel().tolist(), c.ravel().tolist()):
         diff = step_b * diff + step_c * now
-        before, now = now, now + diff
+        now += diff
         if abs(now) > _RESCALE:
-            before, now, diff = before / _RESCALE, now / _RESCALE, diff / _RESCALE
+            now, diff = now / _RESCALE, diff / _RESCALE
             e += _RESCALE_BITS
-    rows = []
-    for (mant, expo), value in zip(cols, (before, now)):
-        value, shift = math.frexp(value)
-        m, ex = np.frexp(mant * (value / mant[anchor]))
-        rows.append((m, ex + expo - expo[anchor] + e + shift))
-    (m_prev, e_prev), (m_now, e_now) = rows
-    top = np.maximum(e_prev, e_now)[:band]
-    prev = np.ldexp(m_prev[:band], e_prev[:band] - top)
-    # T_{s-1}^{k+1} and T_s^{k-1} in the exponent of diagonal k
-    prev_up = np.ldexp(m_prev[1:], e_prev[1:] - top)
-    now_down = np.ldexp(m_now[:band - 1], e_now[:band - 1] - top[1:])
+    value, shift = math.frexp(now)
+    mant, lift = np.frexp(mant * (value / mant[anchor]))
+    expo = expo + lift + (e + shift - expo[anchor])
+    # d^k reads T_s^k and T_s^{k-1} (T_s^1 at k = 0), both taken in the
+    # exponent of the larger, so neither overflows
+    below = np.concatenate(([1], np.arange(band - 1)))
+    frame = np.maximum(expo[:band], expo[below])
+    t, t_below = (np.ldexp(mant[i], expo[i] - frame) for i in (slice(band), below))
+    root = math.sqrt(start)
+    ratio = delta_abs / root
     k = np.arange(band, dtype=float)
-    root = np.sqrt(start + k)
-    diff = -k / (root * (root + math.sqrt(start))) * prev
-    diff[0] = -delta_abs / math.sqrt(start) * prev_up[0]
-    diff[1:] += delta_abs / root[1:] * now_down
-    return prev, np.ldexp(m_now[:band], e_now[:band] - top), diff, top
+    diff = ratio * t_below - k / (root * (root + np.sqrt(start + k))) * t
+    # T_{s-1}^1 = sqrt((s+1)/s) T_s^1 - sqrt(x/s) T_s^0
+    diff[0] = -ratio * (math.sqrt((start + 1.0) / start) * t_below[0] - ratio * t[0])
+    diff, size = np.frexp(diff)
+    size += frame
+    top = np.maximum(expo[:band], size)
+    return np.ldexp(mant[:band], expo[:band] - top), np.ldexp(diff, size - top), top
 
 
 def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
@@ -456,12 +445,12 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     |delta| = 0.0186 that drifted the columns by 1.8e-13 over 5000 columns,
     where this form stays within 2e-15 of the exact values.
 
-    From n_s = 0 it starts at T_0^k of _column_zero(). From n_s > 0 it
-    starts at T_{n_s-1}, T_{n_s} and d_{n_s} of _seed(), which costs O(n_s
-    + band) scalar steps in place of n_s x band vector ones. The seed needs
-    n_s >= x / 4 (see _miller()); n_s >= x leaves a margin, and below it the
-    run starts at column 0. For |delta| in [1e-3, 10] and n_s <= 5000 the
-    seeded columns agree with those run from column 0 to 6e-15.
+    From n_s = 0 it starts at T_0^k of _column_zero(), with d_0 = T_0. From
+    n_s > 0 it starts at T_{n_s} and d_{n_s} of _seed(), which costs
+    O(n_s + band) scalar steps in place of n_s x band vector ones. The seed
+    needs n_s >= x / 4 (see _miller()); n_s >= x leaves a margin, and below
+    it the run starts at column 0. For |delta| in [1e-3, 40] and n_s up to
+    x + 8000 the seeded columns agree with those run from column 0 to 1.1e-14.
 
     Each diagonal is held as mantissa times 2^exponent: the start sets both,
     and after a block any diagonal whose mantissa has passed _RESCALE is
@@ -483,14 +472,14 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
         start = 0
     # rows n of the windows reach the last block's n0 + _BLOCK
     tables = _tables(start + -(-(n_cols - start) // _BLOCK) * _BLOCK + band, band)
-    # mantissas of T_{n0-1} .. T_{n0+_BLOCK}, and of d_{n0}
-    rows = np.zeros((_BLOCK + 2, band))
+    # mantissas of T_{n0} .. T_{n0+_BLOCK}, and of d_{n0}
+    rows = np.zeros((_BLOCK + 1, band))
     zero = _column_zero(delta_abs, band)
     if start == 0:
-        rows[1], expo = zero
-        diff = rows[1].copy()
+        rows[0], expo = zero
+        diff = rows[0].copy()
     else:
-        rows[0], rows[1], diff, expo = _seed(delta_abs, start, band, zero, tables)
+        rows[0], diff, expo = _seed(delta_abs, start, band, zero, tables)
     weight = np.ldexp(1.0, expo)
     # b, c, the squares of _steps() and c T_{n0+j}, rewritten every block
     b, c = np.empty((_BLOCK, band)), np.empty((_BLOCK, band))
@@ -499,14 +488,14 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
         _steps(x, tables, n0, slice(None), b, c, squares)
         for j in range(_BLOCK):
             diff *= b[j]
-            np.multiply(c[j], rows[j + 1], out=term)
+            np.multiply(c[j], rows[j], out=term)
             diff += term
-            np.add(rows[j + 1], diff, out=rows[j + 2])
-        yield n0, rows[1: 1 + min(_BLOCK, n_cols - n0)] * weight
-        rows[:2] = rows[_BLOCK:]
-        big = np.maximum(np.abs(rows[0]), np.abs(rows[1])) > _RESCALE
+            np.add(rows[j], diff, out=rows[j + 1])
+        yield n0, rows[: min(_BLOCK, n_cols - n0)] * weight
+        rows[0] = rows[_BLOCK]
+        big = np.maximum(np.abs(rows[0]), np.abs(diff)) > _RESCALE
         if big.any():
-            rows[:2, big] /= _RESCALE
+            rows[0, big] /= _RESCALE
             diff[big] /= _RESCALE
             expo[big] += _RESCALE_BITS
             weight[big] = np.ldexp(1.0, expo[big])

@@ -27,6 +27,8 @@ from .fock import KerrScenario, PhotonStatistics
 
 # F is refused where its denominator s + |beta + g1|^2 is at or below this
 DENOM_FLOOR = 1e-15
+# Largest |beta| tau |alpha| of shift_amplitude(): no part of its product overflows
+MAX_SHIFT = sys.float_info.max / 2
 _TINY = sys.float_info.min  # the smallest normal double
 
 
@@ -83,9 +85,15 @@ def shift_amplitude(scenario: KerrScenario, setting: DisplacementSetting) -> com
     At tau = 1 this is exactly the displacement D(alpha_S) applied to the
     Kerr-evolved state, which is how the Fock engine realizes the mixing.
     The phase 2 (|a|^2 kz) takes the product first, so it stays finite
-    wherever |a|^2 kz is, and the factor 2 is exact.
+    wherever |a|^2 kz is, and the factor 2 is exact. A size |beta| tau |alpha|
+    above MAX_SHIFT is refused before the product turns inf into nan.
     """
-    return complex(setting.beta * setting.tau * scenario.alpha
+    beta = setting.beta
+    size = math.hypot(beta.real, beta.imag) * setting.tau * abs(scenario.alpha)
+    if not size <= MAX_SHIFT:
+        raise NumericalOverflow(f"shift size |beta| tau |alpha| = {size:g} is above "
+                                f"MAX_SHIFT = {MAX_SHIFT:g}")
+    return complex(beta * setting.tau * scenario.alpha
                    * np.exp(1j * scenario.kz)
                    * np.exp(2j * (scenario.abs_alpha_sq * scenario.kz)))
 

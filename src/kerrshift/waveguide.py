@@ -170,6 +170,9 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
             raise TargetBelowFloor(
                 f"target {target_db} dB is below the physical floor {floor:.1f} dB")
     fano = 10.0 ** (target_db / 10.0)
+    if fano < np.finfo(float).tiny:
+        raise ValueError(f"target_db = {target_db!r}: F = 10^(target_db/10) = {fano:g} is "
+                         f"below the smallest normal double")
     if target_db >= CROSSOVER_DB:
         # x^2 - 4x - ln(F) = 0, smaller root
         x = (4.0 - np.sqrt(16.0 + 4.0 * np.log(fano))) / 2.0

@@ -52,12 +52,14 @@ max|W|: the terms of the folded sum add up in size to at most about 2/pi
 (Cauchy-Schwarz on int |psi(q + s) psi(q - s)| ds <= 1) however far the Kerr
 phase spreads the state, while max|W| falls as it spreads (0.04 at alpha =
 45), so the same errors span 0.1 to over 4000 eps max|W|. A wigner artifact
-writes a cell as 0 where |W| < w_floor = W_FLOOR_EPS eps 2/pi, 4.4 times the
+writes a cell as 0 where |W| < W_FLOOR = 1024 eps 2/pi, 4.4 times the
 largest error measured, and every other cell as wigner() returns it;
 wigner() itself returns unfloored values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,9 +86,9 @@ _RESCALE = 1e150
 # margin added to the radius sqrt(n_hi)
 AUTO_QUANTILE = 1e-9
 AUTO_MARGIN = 3.0
-# The rounding floor of a map in units of eps 2/pi, 4.4 times the largest
-# error measured (module docstring): w_floor = 1.4e-13.
-W_FLOOR_EPS = 1024
+# The rounding floor of a map, 1024 eps 2/pi = 1.4e-13: 4.4 times the
+# largest error measured (module docstring).
+W_FLOOR = 1024 * 2.0 ** -52 * 2.0 / math.pi
 
 
 def _wavefunction(amplitudes: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -190,7 +192,12 @@ def wigner(state: FockState, center: complex, half_width: float,
         raise ValueError(f"half_width must be finite and positive, got {half_width}")
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    xs = center.real + np.linspace(-half_width, half_width, resolution)
+    # the window's edges, their lattice coordinates sqrt(2) x and the span
+    # 2 sqrt(2) half_width must be finite; 4 bounds both factors
+    if not math.isfinite(4.0 * (half_width + max(abs(center.real), abs(center.imag)))):
+        raise ValueError(f"half_width = {half_width:g} about center {center}: the window "
+                         f"reaches past the largest double")
+    xs =center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)
     return Grid(xs, ys, _wigner_grid(state, xs, ys))
 

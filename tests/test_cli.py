@@ -29,7 +29,7 @@ from kerrshift.fock import (
 from kerrshift.moments import DisplacementSetting, fano_displaced, shift_amplitude
 from kerrshift.optimize import optimize_beta
 from kerrshift.serialize import Artifact, to_json_text
-from kerrshift.wigner import W_FLOOR_EPS, auto_window, wigner
+from kerrshift.wigner import W_FLOOR, auto_window, wigner
 
 
 def run(args, tmp_path=None, out_name=None):
@@ -279,7 +279,7 @@ def test_wigner_artifacts_match_a_per_cell_rendering(tmp_path):
     xs, ys = [float(v) for v in grid.xs], [float(v) for v in grid.ys]
     # the artifact writes the cells below its floor as 0
     w_floor = meta["w_floor"]
-    assert w_floor == W_FLOOR_EPS * sys.float_info.epsilon * 2.0 / math.pi
+    assert w_floor == W_FLOOR
     assert meta["w_max"] == float(grid.values.max())
     values = [[0.0 if abs(v) < w_floor else float(v) for v in row] for row in grid.values]
     assert json_text == to_json_text(
@@ -676,7 +676,8 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["optimize", "1", "--kz", "1e308"], None,
      "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
     (["photon-dist", "3", "1e306", "0.1"], None,
-     "kz = 1e+306: the Kerr phase kz n^2 overflows at n = n_trunc = 59"),
+     "kz = 1e+306: the Kerr phase kz n^2 = inf at n = n_trunc = 59 is above "
+     "MAX_FOCK_KERR_PHASE = 2^33"),
     (["wigner", "3", "1e308", "--resolution", "5"], None,
      "kz = 1e+308: the Kerr phase 4 kz = inf is above MAX_KERR_PHASE"),
     (["fano", "1e10", "1e290", "0.1"], None,
@@ -698,6 +699,17 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
      "alpha must have a finite |alpha|^2, got |alpha| = 1.6e+231"),
     (["wigner", "1e154", "1e-308", "--resolution", "11"], None,
      "|alpha| = 1e+154 exceeds the Fock engine cap"),
+    (["photon-dist", "200", "0.001", "1e308"], None,
+     "shift size |beta| tau |alpha| = inf is above MAX_SHIFT = 8.98847e+307"),
+    (["wigner", "200", "0.001", "--beta", "1e308", "--resolution", "11"], None,
+     "shift size |beta| tau |alpha| = inf is above MAX_SHIFT"),
+    (["photon-dist", "(1.83697019872103e-15,30.0)", "0.00023344087187089074",
+      "(1.5163903251693752e+308,-9.655366325851218e+307)"], None,
+     "shift size |beta| tau |alpha| = inf is above MAX_SHIFT"),
+    (["design", "4.97", "--preset", "si3n4", "--target-db", "-3300"], None,
+     "target_db = -3300.0: F = 10^(target_db/10) = 0 is below the smallest normal double"),
+    (["design", "4.97", "--preset", "si3n4", "--target-db", "-3080"], None,
+     "F = 10^(target_db/10) = 1e-308 is below the smallest normal double"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
@@ -716,7 +728,9 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "fano-alpha-sq-kz", "photon-dist-fock-dim", "optimize-alpha-1e20",
         "optimize-alpha-1e50", "optimize-tol-kz-1e-300", "photon-dist-shift-1e160",
         "wigner-shift-1e200", "photon-dist-levels-g", "optimize-alpha-1.6e231",
-        "wigner-phase-overflow"])
+        "wigner-phase-overflow", "photon-dist-shift-1e308", "wigner-shift-1e308",
+        "photon-dist-shift-complex-1e308", "design-target-underflow",
+        "design-target-subnormal"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

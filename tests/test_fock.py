@@ -234,6 +234,37 @@ def test_seed_below_x_starts_at_column_0():
     assert first == 100
 
 
+def _element_mp(delta_abs, n, k):
+    """T_n^k = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x), x = |delta|^2, in mpmath."""
+    x = mpmath.mpf(delta_abs) ** 2
+    return (mpmath.exp((mpmath.loggamma(n + 1) - mpmath.loggamma(n + k + 1)
+                        + k * mpmath.log(x) - x) / 2) * mpmath.laguerre(n, k, x))
+
+
+@pytest.mark.parametrize("delta_abs, start, tol", [
+    (2.116, 2415, 1e-14), (1e-3, 5000, 1e-14), (10.0, 100, 1e-14),
+    # here the Miller run and the anchor diagonal are each off by about
+    # 1e-13 of the column's largest element: 2.1e-13 at worst, measured
+    (31.6, 3942, 5e-13),
+], ids=["alpha-60-seed", "small-shift", "x-equals-start", "wide-shift"])
+def test_seed_matches_50_digit_laguerre_values(delta_abs, start, tol):
+    # T_s and d_s = T_s - T_{s-1} of _seed(), at the weights _columns()
+    # applies, at k = 0, 1, the anchor and band - 1
+    n_cols = start + 200
+    band = _band(delta_abs, n_cols - 1 + int(np.ceil(10.0 * (delta_abs + 1.0))), n_cols - 1)
+    tables = fock._tables(start + fock._BLOCK + band, band)
+    now, diff, expo = fock._seed(delta_abs, start, band, fock._column_zero(delta_abs, band),
+                                 tables)
+    now, diff = np.ldexp(now, expo), np.ldexp(diff, expo)
+    scale = np.max(np.abs(now))
+    with mpmath.workdps(50):
+        for k in {0, 1, int(np.argmax(np.abs(now))), band - 1}:
+            exact = _element_mp(delta_abs, start, k)
+            assert abs(now[k] - float(exact)) <= tol * scale
+            assert abs(diff[k] - float(exact - _element_mp(delta_abs, start - 1, k))) \
+                <= tol * scale
+
+
 def _per_block_steps(delta_abs, n, ks):
     """b and a - 1 - b of the column recurrence, formed whole for each row n
     and diagonal k as the blocks of _columns() formed them before the tables."""

@@ -21,7 +21,7 @@ from kerrshift.fock import (
 from kerrshift.moments import DisplacementSetting, shift_amplitude
 from kerrshift.wigner import (
     MAX_WIGNER_BYTES,
-    W_FLOOR_EPS,
+    W_FLOOR,
     auto_window,
     narrowest_width,
     wigner,
@@ -262,8 +262,7 @@ def test_rounding_error_is_below_a_quarter_of_the_floor(make, resolution):
     grid = wigner(state, center=center, half_width=half_width, resolution=resolution)
     rows = np.linspace(0, resolution - 1, 21).round().astype(int)
     expected = long_double_rows(state, grid.xs, grid.ys, rows)
-    w_floor = W_FLOOR_EPS * np.finfo(float).eps * TWO_OVER_PI
-    assert np.max(np.abs(grid.values[rows] - expected)) <= w_floor / 4
+    assert np.max(np.abs(grid.values[rows] - expected)) <= W_FLOOR / 4
 
 
 def test_wide_window_does_not_alias():
