@@ -61,9 +61,9 @@ _MAX_ABS_ALPHA = math.sqrt(sys.float_info.max)
 # |alpha|^2 (4 kz + 1) in size; below half the largest double both are finite.
 MAX_KERR_PHASE = sys.float_info.max / 2
 # Largest Kerr phase kz n^2 that kerr_evolve() forms, rounded by up to
-# 2^-20 rad: F then moves by up to 1e-7 relative, and far above it (kz =
-# 1e300 at |alpha| = 1) nothing of F is left. It holds every kz < pi up to
-# n_trunc = 52 000, past the basis of |alpha| = MAX_AMPLITUDE.
+# 2^-20 rad: F then moves by up to 2e-8 relative (300 random states), and
+# far above it (kz = 1e300 at |alpha| = 1) nothing of F is left. It holds
+# every kz < pi up to n_trunc = 52 000, past the |alpha| = 200 basis.
 MAX_FOCK_KERR_PHASE = 2.0 ** 33
 
 NORM_TOL = 1e-12

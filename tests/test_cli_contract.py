@@ -217,6 +217,16 @@ def _check_identities(argv, artifact):
 @example(argv=["photon-dist", "(1.83697019872103e-15,30.0)", "0.00023344087187089074",
                "(1.5163903251693752e+308,-9.655366325851218e+307)"])
 @example(argv=["design", "4.97", "--preset", "si3n4", "--target-db", "-3300"])
+# found by this test: numpy warnings from a window and a kz grid past the
+# largest double, and a Fock F far off the closed form's at a Kerr phase
+# kz n^2 of 1e303
+@example(argv=["wigner", "0", "0", "--half-width", "1.7976931348623157e+308"])
+@example(argv=["sweep-length", "1", "--kz-min", "0.0", "--kz-max", "1.7976931348623157e+308",
+               "--kz-points", "4"])
+@example(argv=["photon-dist", "1", "1e300", "1"])
+# the closed form refuses |alpha|^2 = 0 with |beta|^2 = inf, where the Fock
+# engine shifts by 2.2e-13
+@example(argv=["photon-dist", "(2.2250738585e-313,0.0)", "0.0", "(1e+300,0.0)"])
 def test_cli_contract(argv):
     code, err, caught, artifact = _run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
