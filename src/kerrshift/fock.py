@@ -14,11 +14,12 @@ Cahill-Glauber three-term recurrence for the matrix elements (Phys. Rev. 177,
 1857 (1969)) runs column by column over the state's support, on a band of
 diagonals sized from Szegő's bound on the Laguerre polynomials, each
 diagonal carrying its own binary exponent. The run starts a band below the
-state's support, seeded there from one column of Miller's downward
-recurrence in the order. Memory is O(n_max), so a state displaces within
-DISPLACE_DEFECT_TOL wherever its target basis fits MAX_FOCK_DIM levels:
-for sqrt(<n>) + |delta| up to about 240, which takes in the length optimum
-at |alpha| = MAX_AMPLITUDE = 200 (about 4.3e4 levels).
+state's support, seeded there by Miller's downward recurrence in the order
+over that column, scaled to its unit norm. Memory is O(n_max), so a state
+displaces within DISPLACE_DEFECT_TOL wherever its target basis fits
+MAX_FOCK_DIM levels: for sqrt(<n>) + |delta| up to about 240, which takes
+in the length optimum at |alpha| = MAX_AMPLITUDE = 200 (about 4.3e4
+levels).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 # Largest |alpha| of the Fock engine; past it, analytic formulas only. The
 # coherent basis at 200 has n_trunc = 42 020. This caps time, not memory:
 # memory is O(n_max), and displacing the alpha = 200 length optimum
-# (|delta| = 3.1) peaks at 43 MB RSS, but takes 0.15-0.25 s (fastest to
+# (|delta| = 3.1) peaks at 41 MB RSS, but takes 0.14-0.20 s (fastest to
 # median of 7 calls in one process, on a shared 2-core Intel Xeon host).
 MAX_AMPLITUDE = 200.0
 # Largest basis, n_max + 1 levels. Also a time cap, not a memory cap: a
@@ -283,43 +284,6 @@ def poisson_probabilities(mean: float, size: int) -> np.ndarray:
     return weights * weights * np.exp(-np.arange(size) * math.log1p(-gap / mean) - gap)
 
 
-def _miller(delta_abs: float, n: int, band: int) -> tuple[np.ndarray, np.ndarray]:
-    """T_n^k for k <= band, up to one factor common to all k, as mantissa
-    in [0.5, 1) (or 0) times 2^exponent; k = band too, so that _seed() has
-    T_n^1 at band = 1.
-
-    At fixed n the elements obey a three-term recurrence in the order
-    (DLMF 18.9.13-14),
-
-        sqrt(x) sqrt(n+k+2) T^{k+2} = (k+1+x) T^{k+1} - sqrt(x) sqrt(n+k+1) T^k.
-
-    T_n^k is its minimal solution as k grows, so it runs downward (Miller's
-    algorithm: Gautschi, SIAM Rev. 9, 24 (1967); DLMF 3.6(iii)) from
-    T^{2 band - 1} = 0 and T^{2 band - 2} = 1. The start's error shrinks
-    with the ratio of the two solutions over the band - 1 diagonals above
-    the band. Downward is stable only while k stays above the column's
-    lower turning point (sqrt n - |delta|)^2 - n, which is at or below 0
-    for n >= x / 4.
-    """
-    x = delta_abs * delta_abs
-    # |delta| sqrt(n + k + 2) at the first k
-    top = delta_abs * math.sqrt(n + 2 * band - 1.0)
-    mant, expo = [0.0, 1.0], [0, 0]
-    up, t, e = 0.0, 1.0, 0
-    for k in range(2 * band - 3, -1, -1):
-        low = delta_abs * math.sqrt(n + k + 1.0)
-        up, t = t, ((k + 1.0 + x) * t - top * up) / low
-        if abs(t) > _RESCALE:
-            up, t = up / _RESCALE, t / _RESCALE
-            e += _RESCALE_BITS
-        mant.append(t)
-        expo.append(e)
-        top = low
-    # the values were appended from k = 2 band - 1 down to k = 0
-    mant, shift = np.frexp(mant[:-band - 2:-1])
-    return mant, shift + np.array(expo[:-band - 2:-1], dtype=np.int64)
-
-
 def _tables(span: int, band: int) -> tuple[np.ndarray, ...]:
     """The tables _steps() reads: the diagonals k < band; sqrt m for
     m <= span, and 1/sqrt(m + 1) and sqrt(m/(m + 1)) for m < span; then the
@@ -332,12 +296,12 @@ def _tables(span: int, band: int) -> tuple[np.ndarray, ...]:
             *(sliding_window_view(t, band) for t in (root, root[:-1] * inv_root, inv_root)))
 
 
-def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int, k: slice,
+def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int,
            b: np.ndarray, c: np.ndarray, squares: np.ndarray) -> None:
     """Write b and a - 1 - b of the recurrence of _columns() from column n
-    to n + 1 into b and c, for the rows n0 <= n < n0 + len(b) and the
-    diagonals k, from the tables of _tables(); squares, one row longer than
-    b, is their work space.
+    to n + 1 into b and c, for the rows n0 <= n < n0 + len(b) and every
+    diagonal of the tables of _tables(); squares, one row longer than b, is
+    their work space.
 
     b = sqrt(n + k) (1/sqrt(n + k + 1)) sqrt(n/(n + 1)) is one product of
     two tables. In a - 1 - b, (sqrt q - sqrt p)^2 is formed as
@@ -347,75 +311,93 @@ def _steps(x: float, tables: tuple[np.ndarray, ...], n0: int, k: slice,
     """
     ks, root, inv_root, shrink, root_win, ratio_win, inv_root_win = tables
     rows, edge = slice(n0, n0 + len(b)), slice(n0, n0 + len(squares))
-    np.multiply(ratio_win[rows, k], shrink[rows, None], out=b)
-    np.add(root[edge, None], root_win[edge, k], out=squares)
+    np.multiply(ratio_win[rows], shrink[rows, None], out=b)
+    np.add(root[edge, None], root_win[edge], out=squares)
     if n0 == 0:
         # sqrt p + sqrt q is 0 only at n = -1, k = 0, where k / 1 is the 0 wanted
         np.maximum(squares[0], 1.0, out=squares[0])
-    np.divide(ks[k], squares, out=squares)
+    np.divide(ks, squares, out=squares)
     np.multiply(squares, squares, out=squares)
     np.add(squares[1:], squares[:-1], out=c)
     c *= 0.5
     c -= x
     # 1/sqrt(pq) is rounded once, as one product, before it scales c;
     # applying its two factors in turn would round c twice
-    np.multiply(inv_root_win[rows, k], inv_root[rows, None], out=squares[1:])
+    np.multiply(inv_root_win[rows], inv_root[rows, None], out=squares[1:])
     c *= squares[1:]
 
 
-def _seed(delta_abs: float, start: int, band: int, zero: tuple[np.ndarray, np.ndarray],
-          tables: tuple[np.ndarray, ...]):
+def _seed(delta_abs: float, start: int, band: int):
     """Mantissas of T_s and d_s = T_s - T_{s-1} for k < band, s = start, and
     the binary exponent of each diagonal: that of the larger of |T_s^k| and
     |d_s^k|, so every mantissa is at most 1 and none underflows.
 
-    T_s comes from _miller() up to one factor, fixed at the anchor k*, the
-    diagonal where |T_s^k| is largest and so never near a zero of L_s: the
-    true T_s^{k*} comes from the column recurrence run along that diagonal
-    from its T_0^{k*} in zero, a scalar loop of `start` steps on
-    coefficients from _steps(). d_s follows from T_s without cancellation:
-    L_s^k - L_{s-1}^k = L_s^{k-1} (DLMF 18.9.13) gives
-    T_{s-1}^k = sqrt((s+k)/s) T_s^k - sqrt(x/s) T_s^{k-1}, so
+    With the phase u^k taken out, t^k = <s+k|D(delta)|s> is T_s^k for k >= 0
+    and (-1)^k T_{s+k}^{-k} for k < 0. By (a - delta)(a^dag - delta*) D|s>
+    = (s + 1) D|s> the whole column, k >= -s, obeys one recurrence in the
+    order (DLMF 18.9.13-14 for k >= 0),
 
-        d_s^k = |delta| T_s^{k-1} / sqrt s - k T_s^k / (sqrt s (sqrt s + sqrt(s+k))),
-        d_s^0 = -|delta| T_{s-1}^1 / sqrt s.
+        |delta| sqrt(s+k+2) t^{k+2} = (k+1+x) t^{k+1} - |delta| sqrt(s+k+1) t^k,
+
+    of which t is the minimal solution as k grows. So it runs downward
+    (Miller's algorithm: Gautschi, SIAM Rev. 9, 24 (1967), section 3; DLMF
+    3.6(iii)) from t^{2 band - 1} = 0 and t^{2 band - 2} = 1, whose error
+    shrinks with the ratio of the two solutions over the band - 1 diagonals
+    above the band. Below the lower turning point x - 2 |delta| sqrt s,
+    where t has no zeros, the other solution grows: the run stops at the
+    first rise of |t| from a value there below 2^-20 of its largest so far,
+    drops the value that rose and takes the ones below as 0. D is unitary,
+    so the run divided by its norm is t (both are positive above the band).
+
+    d_s follows from t without cancellation: L_s^k - L_{s-1}^k = L_s^{k-1}
+    (DLMF 18.9.13) gives T_{s-1}^k = sqrt((s+k)/s) t^k - sqrt(x/s) t^{k-1},
+    so for every k >= 0, with t^{-1} from the run,
+
+        d_s^k = |delta| t^{k-1} / sqrt s - k t^k / (sqrt s (sqrt s + sqrt(s+k))).
 
     Where T changes slowly in n, T_s - T_{s-1} would keep only the last
     digits of each column, and every later column would inherit that
     rounding as a drift.
     """
-    mant, expo = _miller(delta_abs, start, band)
-    anchor = int(np.argmax(np.ldexp(np.abs(mant[:band]), expo[:band] - expo.max())))
-    # the diagonal k* from column 0 up to column `start`, in difference form
-    b, c = np.empty((start, 1)), np.empty((start, 1))
-    _steps(delta_abs * delta_abs, tables, 0, slice(anchor, anchor + 1), b, c,
-           np.empty((start + 1, 1)))
-    now, e = float(zero[0][anchor]), int(zero[1][anchor])
-    diff = now
-    for step_b, step_c in zip(b.ravel().tolist(), c.ravel().tolist()):
-        diff = step_b * diff + step_c * now
-        now += diff
-        if abs(now) > _RESCALE:
-            now, diff = now / _RESCALE, diff / _RESCALE
-            e += _RESCALE_BITS
-    value, shift = math.frexp(now)
-    mant, lift = np.frexp(mant * (value / mant[anchor]))
-    expo = expo + lift + (e + shift - expo[anchor])
-    # d^k reads T_s^k and T_s^{k-1} (T_s^1 at k = 0), both taken in the
-    # exponent of the larger, so neither overflows
-    below = np.concatenate(([1], np.arange(band - 1)))
-    frame = np.maximum(expo[:band], expo[below])
-    t, t_below = (np.ldexp(mant[i], expo[i] - frame) for i in (slice(band), below))
+    x = delta_abs * delta_abs
+    lower = x - 2.0 * delta_abs * math.sqrt(start)
+    # |delta| sqrt(s + k + 2) at the first k
+    top = delta_abs * math.sqrt(start + 2 * band - 1.0)
+    mant, expo = [0.0, 1.0], [0, 0]
+    up, t, e, peak = 0.0, 1.0, 0, 1.0
+    for k in range(2 * band - 3, -start - 1, -1):
+        low = delta_abs * math.sqrt(start + k + 1.0)
+        up, t = t, ((k + 1.0 + x) * t - top * up) / low
+        if k + 1 < lower and abs(t) > abs(up) and abs(up) < peak * 2.0 ** -20:
+            break
+        if abs(t) > peak:
+            peak = abs(t)
+            if peak > _RESCALE:
+                up, t, peak = up / _RESCALE, t / _RESCALE, peak / _RESCALE
+                e += _RESCALE_BITS
+        mant.append(t)
+        expo.append(e)
+        top = low
+    mant, shift = np.frexp(mant)
+    expo = shift + np.array(expo)
+    big = int(expo.max())
+    # fsum rounds once, over the squares above 1e-32, as in _column_zero()
+    squares = np.ldexp(mant, expo - big) ** 2
+    norm = math.sqrt(math.fsum(squares[squares > 1e-32].tolist()))
+    # the values were appended from k = 2 band - 1 down: t^k for -1 <= k < band
+    mant, lift = np.frexp(mant[2 * band: band - 1: -1] / norm)
+    expo = expo[2 * band: band - 1: -1] + lift - big
+    # d^k reads t^k and t^{k-1}, both taken in the exponent of the larger,
+    # so neither overflows
+    frame = np.maximum(expo[1:], expo[:-1])
+    t, t_below = np.ldexp(mant[1:], expo[1:] - frame), np.ldexp(mant[:-1], expo[:-1] - frame)
     root = math.sqrt(start)
-    ratio = delta_abs / root
     k = np.arange(band, dtype=float)
-    diff = ratio * t_below - k / (root * (root + np.sqrt(start + k))) * t
-    # T_{s-1}^1 = sqrt((s+1)/s) T_s^1 - sqrt(x/s) T_s^0
-    diff[0] = -ratio * (math.sqrt((start + 1.0) / start) * t_below[0] - ratio * t[0])
+    diff = delta_abs / root * t_below - k / (root * (root + np.sqrt(start + k))) * t
     diff, size = np.frexp(diff)
     size += frame
-    top = np.maximum(expo[:band], size)
-    return np.ldexp(mant[:band], expo[:band] - top), np.ldexp(diff, size - top), top
+    top = np.maximum(expo[1:], size)
+    return np.ldexp(mant[1:], expo[1:] - top), np.ldexp(diff, size - top), top
 
 
 def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
@@ -447,10 +429,12 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
 
     From n_s = 0 it starts at T_0^k of _column_zero(), with d_0 = T_0. From
     n_s > 0 it starts at T_{n_s} and d_{n_s} of _seed(), which costs
-    O(n_s + band) scalar steps in place of n_s x band vector ones. The seed
-    needs n_s >= x / 4 (see _miller()); n_s >= x leaves a margin, and below
-    it the run starts at column 0. For |delta| in [1e-3, 40] and n_s up to
-    x + 8000 the seeded columns agree with those run from column 0 to 1.1e-14.
+    O(band + 2 |delta| sqrt(n_s)) scalar steps in place of n_s x band vector
+    ones. n_s >= x puts the column's lower turning point below 0, so the
+    seed's run reaches the t^{-1} that d_{n_s} reads; below it the run
+    starts at column 0. For |delta| in [1e-3, 40] and n_s up to x + 8000 the
+    seeded columns agree with those run from column 0 to 6.8e-15 (worst of
+    150 random cases).
 
     Each diagonal is held as mantissa times 2^exponent: the start sets both,
     and after a block any diagonal whose mantissa has passed _RESCALE is
@@ -464,8 +448,7 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     on n + k alone, so b is one product of a window row and a column
     factor, and each square in a - 1 - b is formed once for two rows. A
     block writes into buffers allocated once per call, in about nine passes
-    over (_BLOCK x band) arrays, and _seed() takes its anchor diagonal from
-    the same _steps().
+    over (_BLOCK x band) arrays.
     """
     x = delta_abs * delta_abs
     if start < 1 or start < x:
@@ -474,18 +457,17 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     tables = _tables(start + -(-(n_cols - start) // _BLOCK) * _BLOCK + band, band)
     # mantissas of T_{n0} .. T_{n0+_BLOCK}, and of d_{n0}
     rows = np.zeros((_BLOCK + 1, band))
-    zero = _column_zero(delta_abs, band)
     if start == 0:
-        rows[0], expo = zero
+        rows[0], expo = _column_zero(delta_abs, band)
         diff = rows[0].copy()
     else:
-        rows[0], diff, expo = _seed(delta_abs, start, band, zero, tables)
+        rows[0], diff, expo = _seed(delta_abs, start, band)
     weight = np.ldexp(1.0, expo)
     # b, c, the squares of _steps() and c T_{n0+j}, rewritten every block
     b, c = np.empty((_BLOCK, band)), np.empty((_BLOCK, band))
     squares, term = np.empty((_BLOCK + 1, band)), np.empty(band)
     for n0 in range(start, n_cols, _BLOCK):
-        _steps(x, tables, n0, slice(None), b, c, squares)
+        _steps(x, tables, n0, b, c, squares)
         for j in range(_BLOCK):
             diff *= b[j]
             np.multiply(c[j], rows[j], out=term)
@@ -546,10 +528,10 @@ def displace(state: FockState, delta: complex) -> FockState:
     is raised before any column is run. The alpha = 200 length optimum
     (|alpha| = MAX_AMPLITUDE) takes 43306 levels and a band of 1792
     diagonals (2581 to the edge), starts at column 35 937 of 42 020, and
-    leaves a norm defect of 2.8e-14. On a shared 2-core Intel Xeon host
-    that displace() call takes 0.15-0.25 s (1.0-1.5 s from column 0),
-    fastest to median of 7 calls in one process, and the process peaks at
-    43 MB RSS.
+    leaves a norm defect of 4.4e-15. On a shared 2-core Intel Xeon host
+    that displace() call takes 0.14-0.20 s (1.0-1.5 s from column 0),
+    fastest to median of 7 calls in one process over three processes, and
+    the process peaks at 41 MB RSS.
 
     The truncated unitary loses the mass the displaced state carries above
     n_max, and a band too narrow would lose the mass outside it; if that norm

@@ -224,8 +224,8 @@ def test_seeded_columns_match_the_run_from_column_0(delta_abs, start):
 
 
 def test_seed_below_x_starts_at_column_0():
-    # below n = x / 4 the column has a lower turning point in the order k,
-    # under which Miller's downward run is unstable; n_s >= x keeps a margin
+    # n_s >= x keeps the column's lower turning point in the order k, below
+    # which the seed's downward run may stop, at or below k = -x
     band = _band(10.0, 300, 190)
     for start in (1, 10, 99):
         _, first = _column_run(10.0, 191, band, start)
@@ -243,18 +243,25 @@ def _element_mp(delta_abs, n, k):
 
 @pytest.mark.parametrize("delta_abs, start, tol", [
     (2.116, 2415, 1e-14), (1e-3, 5000, 1e-14), (10.0, 100, 1e-14),
-    # here the Miller run and the anchor diagonal are each off by about
-    # 1e-13 of the column's largest element: 2.1e-13 at worst, measured
+    # here Miller's run through the oscillating part of the column is off by
+    # up to 1.8e-13 of the column's largest element, measured
     (31.6, 3942, 5e-13),
-], ids=["alpha-60-seed", "small-shift", "x-equals-start", "wide-shift"])
+    # a tiny shift: a seed scaled from the run up from column 0 inherits
+    # its drift, 1.1e-13 here
+    (9.113078658931141e-07, 3208, 1e-14),
+    # the m = 0 end of the column sits at its lower turning point
+    (5.0, 30, 1e-14),
+    # x = s = 3: <1|D|3> = 0 lies one step above the turning point at m = 0,
+    # and <0|D|3> = -0.47 one step below it
+    (3.0 ** 0.5, 3, 1e-14),
+], ids=["alpha-60-seed", "small-shift", "x-equals-start", "wide-shift", "tiny-shift",
+        "turning-point-at-0", "zero-above-the-turning-point"])
 def test_seed_matches_50_digit_laguerre_values(delta_abs, start, tol):
     # T_s and d_s = T_s - T_{s-1} of _seed(), at the weights _columns()
-    # applies, at k = 0, 1, the anchor and band - 1
+    # applies, at k = 0, 1, the largest element and band - 1
     n_cols = start + 200
     band = _band(delta_abs, n_cols - 1 + int(np.ceil(10.0 * (delta_abs + 1.0))), n_cols - 1)
-    tables = fock._tables(start + fock._BLOCK + band, band)
-    now, diff, expo = fock._seed(delta_abs, start, band, fock._column_zero(delta_abs, band),
-                                 tables)
+    now, diff, expo = fock._seed(delta_abs, start, band)
     now, diff = np.ldexp(now, expo), np.ldexp(diff, expo)
     scale = np.max(np.abs(now))
     with mpmath.workdps(50):
@@ -285,28 +292,22 @@ def _per_block_steps(delta_abs, n, ks):
 @example(delta_abs=2.116, start=2415)
 @example(delta_abs=1e-3, start=5000)
 def test_table_coefficients_match_the_per_block_formula(delta_abs, start):
-    # every _steps() call of a run: the seed's anchor diagonal (start > 0),
-    # then the blocks from the start column, the first one at n0 = 0 (with
-    # the n = k = 0 cell) where the run starts at column 0
+    # every _steps() call of a run: the blocks from the start column, the
+    # first one at n0 = 0 (with the n = k = 0 cell) where the run starts at
+    # column 0
     n_cols = start + 3 * fock._BLOCK
     band = _band(delta_abs, n_cols - 1 + int(np.ceil(10.0 * (delta_abs + 1.0))), n_cols - 1)
     steps, calls = fock._steps, []
 
-    def recorded(x, tables, n0, k, b, c, squares):
-        steps(x, tables, n0, k, b, c, squares)
-        calls.append((n0, k, b.copy(), c.copy()))
+    def recorded(x, tables, n0, b, c, squares):
+        steps(x, tables, n0, b, c, squares)
+        calls.append((n0, b.copy(), c.copy()))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock, "_steps", recorded)
         _, first = _column_run(delta_abs, n_cols, band, start)
-    if first > 0:
-        n0, k, b, c = calls.pop(0)
-        assert (n0, k.stop - k.start, b.shape) == (0, 1, (first, 1))
-        n = np.arange(first, dtype=float)[:, None]
-        want = _per_block_steps(delta_abs, n, float(k.start))
-        assert np.array_equal(b, want[0]) and np.array_equal(c, want[1])
     assert [n0 for n0, *_ in calls] == list(range(first, n_cols, fock._BLOCK))
-    for n0, k, b, c in calls:
+    for n0, b, c in calls:
         n = np.arange(n0, n0 + fock._BLOCK, dtype=float)[:, None]
         want = _per_block_steps(delta_abs, n, np.arange(band, dtype=float))
         assert np.array_equal(b, want[0]) and np.array_equal(c, want[1])
@@ -382,6 +383,7 @@ def test_alpha_200_length_optimum_displaces():
 @example(abs_alpha=100.0, phase=0.0, kz_scale=1.0, beta_scale=1.0, beta_turn=0.0)
 @example(abs_alpha=200.0, phase=0.0, kz_scale=1.0, beta_scale=1.0, beta_turn=0.0)
 @example(abs_alpha=200.0, phase=0.0, kz_scale=3.0, beta_scale=5.0, beta_turn=0.0)
+@example(abs_alpha=9.0, phase=0.0, kz_scale=1.0, beta_scale=1e-32, beta_turn=0.0)
 def test_fock_fano_matches_closed_form(abs_alpha, phase, kz_scale, beta_scale, beta_turn):
     # F of the displaced Fock state against the closed form, with beta up to
     # five times the optimal shift in any direction
