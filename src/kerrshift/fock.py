@@ -250,11 +250,14 @@ def _column_zero(delta_abs: float, band: int) -> tuple[np.ndarray, np.ndarray]:
         mant[at:stop] = carry * np.cumprod(ratio[at - 1: stop - 1])
         expo[at:stop] += lift
     mant, shift = np.frexp(mant)
-    expo += shift
+    return _unit_column(mant, expo + shift)
+
+
+def _unit_column(mant: np.ndarray, expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column mant 2^expo, mantissas in [0.5, 1), divided by its norm,
+    with the exponents counted from the largest. fsum rounds the norm once,
+    over the squares above 1e-32; the others are too small to move it."""
     top = int(expo.max())
-    # fsum rounds once, over the squares above 1e-32 (T_0^k above ~1e-18):
-    # the others, the diagonals past the band's 1e-20 among them, are too
-    # small to move the norm, so a wider band leaves it as it is
     squares = np.ldexp(mant, expo - top) ** 2
     norm = math.sqrt(math.fsum(squares[squares > 1e-32].tolist()))
     return mant / norm, expo - top
@@ -379,14 +382,10 @@ def _seed(delta_abs: float, start: int, band: int):
         expo.append(e)
         top = low
     mant, shift = np.frexp(mant)
-    expo = shift + np.array(expo)
-    big = int(expo.max())
-    # fsum rounds once, over the squares above 1e-32, as in _column_zero()
-    squares = np.ldexp(mant, expo - big) ** 2
-    norm = math.sqrt(math.fsum(squares[squares > 1e-32].tolist()))
+    mant, expo = _unit_column(mant, shift + np.array(expo))
     # the values were appended from k = 2 band - 1 down: t^k for -1 <= k < band
-    mant, lift = np.frexp(mant[2 * band: band - 1: -1] / norm)
-    expo = expo[2 * band: band - 1: -1] + lift - big
+    mant, lift = np.frexp(mant[2 * band: band - 1: -1])
+    expo = expo[2 * band: band - 1: -1] + lift
     # d^k reads t^k and t^{k-1}, both taken in the exponent of the larger,
     # so neither overflows
     frame = np.maximum(expo[1:], expo[:-1])

@@ -246,8 +246,8 @@ def _element_mp(delta_abs, n, k):
     # here Miller's run through the oscillating part of the column is off by
     # up to 1.8e-13 of the column's largest element, measured
     (31.6, 3942, 5e-13),
-    # a tiny shift: a seed scaled from the run up from column 0 inherits
-    # its drift, 1.1e-13 here
+    # a tiny shift, where the run up from column 0 has drifted by 1.1e-13
+    # at column 3208
     (9.113078658931141e-07, 3208, 1e-14),
     # the m = 0 end of the column sits at its lower turning point
     (5.0, 30, 1e-14),
