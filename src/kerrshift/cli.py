@@ -13,7 +13,9 @@ command reads which input is listed at INPUTS. The remaining flags (the
 sweep-length kz grid, the wigner window and resolution, the reproduce
 target) have no config key. A --config file and a preset file are read by
 the one `key = value` reader, serialize.read_key_values; a bad line in
-either exits 2 naming the file kind, the line and the key. fano and
+either exits 2 naming the file kind, the line and the key. Meta "config"
+echoes the inputs, a complex one as <name>_re, <name>_im (_meta). The
+length search's tolerance is fixed (optimize.optimize_length). fano and
 photon-dist report the same PhotonStatistics record, from the closed form
 and from the Fock engine. Each command returns its artifact and its
 human-readable lines; main writes both and maps errors to exit codes.
@@ -28,7 +30,6 @@ tables, so every help text, usage line, error and exit code is argparse's.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,13 +48,7 @@ from .fock import (
     poisson_probabilities,
 )
 from .moments import DisplacementSetting, fano_displaced, shift_amplitude
-from .optimize import (
-    LENGTH_REL_TOL,
-    MIN_LENGTH_REL_TOL,
-    optimize_beta,
-    optimize_length,
-    sweep_length,
-)
+from .optimize import optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
 from .serialize import Artifact, Grid, read_key_values
 from .waveguide import (
@@ -96,15 +91,13 @@ def _parse(field: str, text: str, parse=float):
 # Every input that has a --config key: (parser, default). The parser reads
 # the flag or positional and the config value alike. Readers: alpha (fano,
 # optimize, sweep-length, wigner, photon-dist), kz (fano, optimize, wigner,
-# photon-dist), beta (fano, wigner, photon-dist), tau (fano), tol_kz
-# (optimize), and power, spectral_width, target_db, preset, n2, n0,
-# sigma_eff and wavelength (design).
+# photon-dist), beta (fano, wigner, photon-dist), tau (fano), and power,
+# spectral_width, target_db, preset, n2, sigma_eff and wavelength (design).
 INPUTS = {
     "alpha": (_complex, None), "kz": (float, None), "beta": (_complex, None),
-    "tau": (float, DisplacementSetting.tau), "tol_kz": (float, LENGTH_REL_TOL),
-    "power": (float, None), "spectral_width": (float, None), "target_db": (float, None),
-    "preset": (str, None), "n2": (float, None), "n0": (float, None),
-    "sigma_eff": (float, None), "wavelength": (float, None),
+    "tau": (float, DisplacementSetting.tau), "power": (float, None),
+    "spectral_width": (float, None), "target_db": (float, None), "preset": (str, None),
+    "n2": (float, None), "sigma_eff": (float, None), "wavelength": (float, None),
 }
 
 
@@ -135,7 +128,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _waveguide(preset: str | None, inline: list) -> WaveguideSpec:
-    """The waveguide of a preset, or of the inline (n2, n0, sigma_eff, wavelength)."""
+    """The waveguide of a preset, or of the inline (n2, sigma_eff, wavelength)."""
     if preset is not None and any(v is not None for v in inline):
         raise CliError("preset: give either --preset or the inline waveguide "
                        "fields, not both")
@@ -146,7 +139,7 @@ def _waveguide(preset: str | None, inline: list) -> WaveguideSpec:
             raise CliError(f"preset: {exc}") from exc
     if any(v is None for v in inline):
         raise CliError("preset: a physical command needs --preset or all of "
-                       "--n2/--n0/--sigma-eff/--wavelength")
+                       "--n2/--sigma-eff/--wavelength")
     return WaveguideSpec(*inline)
 
 
@@ -162,8 +155,15 @@ def _emit(args, artifact: Artifact, human_lines: list[str]) -> None:
         print(f"wrote {args.out}")
 
 
-def _meta(command: str, config: dict, **results) -> dict:
-    """Artifact meta: the inputs under "config", computed values at the top level."""
+def _meta(command: str, inputs: dict, **results) -> dict:
+    """Artifact meta: the inputs under "config", a complex one as <name>_re
+    and <name>_im, and the computed values at the top level."""
+    config = {}
+    for name, value in inputs.items():
+        if isinstance(value, complex):
+            config[f"{name}_re"], config[f"{name}_im"] = value.real, value.imag
+        else:
+            config[name] = value
     return {"command": command, "version": __version__, "config": config, **results}
 
 
@@ -172,8 +172,7 @@ def cmd_fano(args, config: dict):
                                    optional=("tau",))
     report = fano_displaced(KerrScenario(alpha, kz),
                             DisplacementSetting(tau=tau, beta=beta))
-    meta = _meta("fano", {"alpha_re": alpha.real, "alpha_im": alpha.imag, "kz": kz,
-                          "beta_re": beta.real, "beta_im": beta.imag, "tau": tau})
+    meta = _meta("fano", {"alpha": alpha, "kz": kz, "beta": beta, "tau": tau})
     artifact = Artifact(meta, ["mean_photon", "variance", "fano", "mandel_q",
                                "suppression_db"],
                         [[report.mean, report.variance, report.fano,
@@ -197,20 +196,9 @@ _OPTIMUM_COLUMNS = ["kz", "beta_re", "beta_im", "beta_abs", "fano_min",
 
 
 def cmd_optimize(args, config: dict):
-    alpha, kz, tol_kz = _inputs(args, config, "alpha", optional=("kz", "tol_kz"))
-    if not (math.isfinite(tol_kz) and tol_kz > 0):
-        raise CliError(f"tol_kz: must be finite and positive, got {tol_kz!r}")
-    if tol_kz < MIN_LENGTH_REL_TOL:
-        raise CliError(f"tol_kz: {tol_kz!r} is below the limit MIN_LENGTH_REL_TOL = "
-                       f"{MIN_LENGTH_REL_TOL!r}, the narrowest relative kz bracket of "
-                       f"the length search in doubles")
-    if kz is not None:
-        opt = optimize_beta(KerrScenario(alpha, kz))
-    else:
-        opt = optimize_length(alpha, rel_tol=tol_kz)
-    meta = _meta("optimize", {"alpha_re": alpha.real, "alpha_im": alpha.imag,
-                              "kz": kz if kz is not None else "optimized",
-                              "tol_kz": tol_kz})
+    alpha, kz = _inputs(args, config, "alpha", optional=("kz",))
+    opt = optimize_length(alpha) if kz is None else optimize_beta(KerrScenario(alpha, kz))
+    meta = _meta("optimize", {"alpha": alpha, "kz": "optimized" if kz is None else kz})
     artifact = Artifact(meta, _OPTIMUM_COLUMNS, [_optimum_rows(opt)])
     return artifact, [
         f"beta_opt        = {opt.beta_opt.real:.6g} {opt.beta_opt.imag:+.6g}j "
@@ -258,8 +246,7 @@ def cmd_sweep_length(args, config: dict):
     (alpha,) = _inputs(args, config, "alpha")
     kz_values = _kz_grid(args)
     optima = sweep_length(alpha, kz_values)
-    meta = _meta("sweep-length", {"alpha_re": alpha.real, "alpha_im": alpha.imag,
-                                  "kz_values": [float(k) for k in kz_values]})
+    meta = _meta("sweep-length", {"alpha": alpha, "kz_values": [float(k) for k in kz_values]})
     artifact = Artifact(meta, _OPTIMUM_COLUMNS, [_optimum_rows(o) for o in optima])
     best = min(optima, key=lambda o: o.fano_min)
     return artifact, [
@@ -298,9 +285,7 @@ def cmd_wigner(args, config: dict):
         print(f"warning: grid step {step:.3g} exceeds the state's narrowest width "
               f"{width:.3g}, so the map does not resolve it; raise --resolution or "
               f"narrow --half-width", file=sys.stderr)
-    meta = _meta("wigner", {"alpha_re": alpha.real, "alpha_im": alpha.imag, "kz": kz,
-                            "beta_re": beta.real, "beta_im": beta.imag,
-                            "center_re": center.real, "center_im": center.imag,
+    meta = _meta("wigner", {"alpha": alpha, "kz": kz, "beta": beta, "center": center,
                             "half_width": half_width, "resolution": args.resolution},
                  shift_re=shift.real, shift_im=shift.imag, integral=integral,
                  w_max=w_max, w_floor=W_FLOOR, n_trunc=state.n_trunc, grid_step=step,
@@ -318,8 +303,7 @@ def cmd_photon_dist(args, config: dict):
     # Poissonian comparison at the same mean, over the levels shown
     n = np.arange(len(probs))
     pois = poisson_probabilities(stats.mean, len(probs))
-    meta = _meta("photon-dist", {"alpha_re": alpha.real, "alpha_im": alpha.imag,
-                                 "kz": kz, "beta_re": beta.real, "beta_im": beta.imag},
+    meta = _meta("photon-dist", {"alpha": alpha, "kz": kz, "beta": beta},
                  mean=stats.mean, variance=stats.variance, fano=stats.fano)
     artifact = Artifact(meta, ["n", "probability", "poisson_same_mean"],
                         np.column_stack([n, probs, pois]))
@@ -332,10 +316,10 @@ def cmd_photon_dist(args, config: dict):
 def cmd_design(args, config: dict):
     power, spectral_width, target_db, preset, *inline = _inputs(
         args, config, "power", optional=("spectral_width", "target_db", "preset",
-                                         "n2", "n0", "sigma_eff", "wavelength"))
+                                         "n2", "sigma_eff", "wavelength"))
     wg = _waveguide(preset, inline)
-    wg_config = {"power": power, "n2": wg.n2, "n0": wg.n0,
-                 "sigma_eff": wg.sigma_eff, "wavelength": wg.wavelength}
+    wg_config = {"power": power, "n2": wg.n2, "sigma_eff": wg.sigma_eff,
+                 "wavelength": wg.wavelength}
     if target_db is not None:
         z, x = length_for_suppression(target_db, power, wg,
                                       spectral_width=spectral_width)
@@ -386,7 +370,7 @@ COMMANDS = {
     "fano": (cmd_fano, "Fano factor of a displaced Kerr state",
              dict.fromkeys(("alpha", "kz", "beta"), _MAYBE), {"tau": {}}),
     "optimize": (cmd_optimize, "optimal shift (and length, without --kz)",
-                 {"alpha": _MAYBE}, {"kz": {}, "tol_kz": {}}),
+                 {"alpha": _MAYBE}, {"kz": {}}),
     "sweep-length": (cmd_sweep_length, "optimally displaced F over a kz grid",
                      {"alpha": _MAYBE},
                      {"kz_values": {"help": "comma-separated kz list"},
@@ -402,8 +386,7 @@ COMMANDS = {
                     dict.fromkeys(("alpha", "kz", "beta"), _MAYBE), {}),
     "design": (cmd_design, "physical design numbers for a waveguide",
                dict.fromkeys(("power", "spectral_width"), _MAYBE),
-               dict.fromkeys(("preset", "target_db", "n2", "n0", "sigma_eff",
-                              "wavelength"), {})),
+               dict.fromkeys(("preset", "target_db", "n2", "sigma_eff", "wavelength"), {})),
     "reproduce": (cmd_reproduce, "rebuild a published table or figure dataset",
                   {"target": {"choices": TARGETS}}, {}),
 }

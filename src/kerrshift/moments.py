@@ -161,23 +161,41 @@ class FanoForms:
         denom_rate = r.s + 2.0 * (z.real * r.g1.real + z.imag * r.g1.imag)
         return m * (r.numerator(beta) - self.numerator(beta) / denom * denom_rate) / denom
 
-    def statistics(self, beta: complex, m: float) -> PhotonStatistics:
-        """Photon statistics at beta, with m = tau^2 |a|^2: the mean is m
-        times the denominator of F, the variance F times the mean. A
-        denominator at or below DENOM_FLOOR, or a mean at or below 0, raises
-        DegenerateDenominator; a mean, variance or F that is not finite
-        raises NumericalOverflow, and an F at or below 0, which only
-        rounding gives, BelowResolution."""
+    def _scaled(self, scale: float) -> FanoForms:
+        """The forms in the variable beta scale, for a power of two scale: at
+        beta scale they give scale^2 times these forms' numerator and
+        denominator at beta, and so the same F."""
+        (_, k01, k02), (_, k11, k12), (_, _, k22) = self.bracket
+        k01, k02 = k01 * scale, k02 * scale
+        return FanoForms(self.g1 * scale, self.s * scale * scale,
+                         ((0.0, k01, k02), (k01, k11, k12), (k02, k12, k22)))
+
+    def statistics(self, beta: complex, m: float, amplitude: float) -> PhotonStatistics:
+        """Photon statistics at beta, with m = tau^2 |a|^2 and amplitude =
+        tau |a|: the mean is m times the denominator of F, the variance F
+        times the mean. A mean of 0 or inf, where m underflows or |beta|^2
+        overflows, is taken instead as (amplitude / scale)^2 times the
+        denominator of the forms in beta scale (_scaled), for the power of two
+        scale whose exponent is halfway between those of amplitude and
+        1 / |beta|. A denominator at or below DENOM_FLOOR, or a mean at or
+        below 0, raises DegenerateDenominator;
+        a mean, variance or F that is not finite raises NumericalOverflow,
+        and an F at or below 0, which only rounding gives, BelowResolution."""
         denom = self.denominator(beta)
-        mean = m * denom
         if denom <= DENOM_FLOOR:
             raise DegenerateDenominator(
                 f"denominator s + |beta + g1|^2 = {denom} of F is at or below its floor "
                 f"DENOM_FLOOR = {DENOM_FLOOR} at beta = {beta}")
+        forms, at, mean = self, beta, m * denom
+        if not 0.0 < mean < math.inf:
+            size = max(abs(beta.real), abs(beta.imag), 1.0)
+            scale = 2.0 ** ((math.frexp(amplitude)[1] - math.frexp(size)[1]) // 2)
+            forms, at, scaled = self._scaled(scale), beta * scale, amplitude / scale
+            mean = scaled * scaled * forms.denominator(at)
         if mean <= 0.0:
             raise DegenerateDenominator(
                 f"mean photon number {mean} is not positive at beta = {beta}")
-        fano = self.evaluate(beta, m)
+        fano = forms.evaluate(at, m)
         variance = fano * mean
         for name, value in (("mean photon number", mean), ("variance", variance), ("F", fano)):
             if not math.isfinite(value):
@@ -249,4 +267,5 @@ def fano_displaced(scenario: KerrScenario,
     form, refused by name as FanoForms.statistics() says. The Fock engine's
     photon_statistics() returns the same record."""
     return fano_forms(scenario).statistics(setting.beta,
-                                           setting.tau ** 2 * scenario.abs_alpha_sq)
+                                           setting.tau ** 2 * scenario.abs_alpha_sq,
+                                           setting.tau * abs(scenario.alpha))

@@ -54,20 +54,15 @@ def _quotient(name: str, numerator: float, denominator: float) -> float:
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """Material and geometry: Kerr index n2 (m^2/W), refractive index n0,
-    effective mode area sigma_eff (m^2), vacuum wavelength (m).
-
-    n0 is carried for completeness; it cancels out of every quantity
-    computed here.
-    """
+    """Material and geometry: Kerr index n2 (m^2/W), effective mode area
+    sigma_eff (m^2), vacuum wavelength (m)."""
 
     n2: float
-    n0: float
     sigma_eff: float
     wavelength: float
 
     def __post_init__(self):
-        for name in ("n2", "n0", "sigma_eff", "wavelength"):
+        for name in ("n2", "sigma_eff", "wavelength"):
             _check_positive(name, getattr(self, name))
         if not (0.1e-6 <= self.wavelength <= 10e-6):
             raise ValueError(f"wavelength {self.wavelength} m outside the "
@@ -181,16 +176,11 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
     return _quotient("z", 2.0 * float(x), gamma(wg) * power), float(x)
 
 
-_PRESET_KEYS = {
-    "n2_m2_per_W": "n2",
-    "n0": "n0",
-    "sigma_eff_m2": "sigma_eff",
-    "lambda_m": "wavelength",
-}
+_PRESET_KEYS = {"n2_m2_per_W": "n2", "sigma_eff_m2": "sigma_eff", "lambda_m": "wavelength"}
 
 
 def parse_preset(text: str) -> WaveguideSpec:
-    """Parse the key-value preset format (keys n2_m2_per_W, n0, sigma_eff_m2, lambda_m)."""
+    """Parse the key-value preset format (keys n2_m2_per_W, sigma_eff_m2, lambda_m)."""
     values = read_key_values(text, "preset", dict.fromkeys(_PRESET_KEYS, float))
     fields = {_PRESET_KEYS[k]: v for k, v in values.items()}
     missing = set(_PRESET_KEYS.values()) - set(fields)

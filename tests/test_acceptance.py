@@ -224,7 +224,7 @@ def test_criterion_11_invariant_spotchecks(tmp_path):
     kerr_ok = np.max(np.abs(np.abs(kerr_evolve(base, 0.7).amplitudes) ** 2
                             - np.abs(base.amplitudes) ** 2)) < 1e-15
 
-    wg = WaveguideSpec(n2=2.5e-19, n0=2.0, sigma_eff=0.3e-12, wavelength=1.55e-6)
+    wg = WaveguideSpec(n2=2.5e-19, sigma_eff=0.3e-12, wavelength=1.55e-6)
     beam = BeamSpec(power=3.3e-3, spectral_width=7e6)
     lhs = 2.0 * alpha_from_power(beam, wg) ** 2 * kerr_coupling(wg, beam)
     identity_ok = abs(lhs / (gamma(wg) * beam.power) - 1.0) < 1e-12

@@ -357,12 +357,12 @@ def test_design_requires_waveguide(capsys):
 
 def test_design_rejects_preset_and_inline(capsys):
     assert main(["design", "0.1", "1e8", "--preset", "si3n4", "--n2", "1e-19",
-                 "--n0", "2", "--sigma-eff", "1e-13", "--wavelength", "1.55e-6"]) == 2
+                 "--sigma-eff", "1e-13", "--wavelength", "1.55e-6"]) == 2
     assert "preset" in capsys.readouterr().err
 
 
 def test_design_inline_waveguide(tmp_path):
-    code, out = run(["design", "0.1", "1e8", "--n2", "2.5e-19", "--n0", "2.0",
+    code, out = run(["design", "0.1", "1e8", "--n2", "2.5e-19",
                      "--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"],
                     tmp_path, "inline.json")
     assert code == 0
@@ -425,10 +425,10 @@ def test_config_file_supplies_inputs(tmp_path):
 
 def test_config_parses_each_key_to_its_type(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 7  # photons\n\nkz = 0.25\ntol_kz = 1e-05\npreset = si3n4\n"
+    cfg.write_text("alpha = 7  # photons\n\nkz = 0.25\ntau = 1e-05\npreset = si3n4\n"
                    "kz = 0.5\nbeta = (0.1-0.2j)\n")
     config = cli._load_config(str(cfg))
-    assert config == {"alpha": 7 + 0j, "kz": 0.5, "tol_kz": 1e-5, "preset": "si3n4",
+    assert config == {"alpha": 7 + 0j, "kz": 0.5, "tau": 1e-5, "preset": "si3n4",
                       "beta": 0.1 - 0.2j}
     assert [type(config[k]) for k in ("alpha", "kz", "preset")] == [complex, float, str]
 
@@ -446,9 +446,8 @@ def test_config_rejects_unknown_key(tmp_path):
 CONFIG_CASES = [
     (["fano", "4", "0.01", "0.05+0.02j", "--tau", "0.7"],
      "alpha = 4\nkz = 0.01\nbeta = 0.05+0.02j\ntau = 0.7\n", []),
-    (["optimize", "10", "--kz", "0.0218", "--tol-kz", "1e-05"],
-     "alpha = 10\nkz = 0.0218\ntol_kz = 1e-05\n", []),
-    (["optimize", "(3+4j)", "--tol-kz", "1e-5"], "alpha = 3+4j\ntol_kz = 1e-5\n", []),
+    (["optimize", "10", "--kz", "0.0218"], "alpha = 10\nkz = 0.0218\n", []),
+    (["optimize", "(3+4j)"], "alpha = 3+4j\n", []),
     (["wigner", "3", "0.05", "--beta", "0.2-0.1j", "--resolution", "21"],
      "alpha = 3\nkz = 0.05\nbeta = 0.2-0.1j\n", ["--resolution", "21"]),
     (["photon-dist", "3", "0.05", "(0.1-0.2j)"],
@@ -457,9 +456,9 @@ CONFIG_CASES = [
      "power = 0.1\nspectral_width = 1e8\npreset = si3n4\n", []),
     (["design", "0.1", "--target-db", "-5", "--preset", "si3n4"],
      "power = 0.1\ntarget_db = -5\npreset = si3n4\n", []),
-    (["design", "0.1", "1e8", "--n2", "2.5e-19", "--n0", "2.0", "--sigma-eff",
-      "0.3e-12", "--wavelength", "1.55e-6"],
-     "power = 0.1\nspectral_width = 1e8\nn2 = 2.5e-19\nn0 = 2.0\n"
+    (["design", "0.1", "1e8", "--n2", "2.5e-19", "--sigma-eff", "0.3e-12",
+      "--wavelength", "1.55e-6"],
+     "power = 0.1\nspectral_width = 1e8\nn2 = 2.5e-19\n"
      "sigma_eff = 0.3e-12\nwavelength = 1.55e-6\n", []),
 ]
 
@@ -589,7 +588,7 @@ def test_plain_parse_reads_as_argparse(argv):
     assert all(_same(plain[k], full[k]) for k in full), (plain, full)
 
 
-INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
+INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -606,9 +605,6 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["fano", "2", "0.1", "nan"], None, "beta must be finite"),
     (["fano", "2", "0.1", "(inf+0j)"], None, "beta must be finite"),
     (["photon-dist", "3", "0.05", "nan"], None, "beta must be finite"),
-    (["optimize", "10", "--tol-kz", "0"], None, "tol_kz"),
-    (["optimize", "10", "--tol-kz", "-1"], None, "tol_kz"),
-    (["optimize", "--config", "FILE"], "alpha = 10\ntol_kz = 0\n", "tol_kz"),
     (["design", "nan", "1e7", "--preset", "si3n4"], None, "power must be finite"),
     (["design", "0.01", "inf", "--preset", "si3n4"], None, "spectral_width must be finite"),
     (["design", "0.01", "--preset", "si3n4", "--target-db", "nan"], None,
@@ -636,20 +632,21 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
     (["wigner", "3", "0.05", "--resolution", "3", "--center", "1e300+0j",
       "--half-width", "1"], None, "resolution 3x3 over x in [1e+300, 1e+300], y in [-1, 1]"),
     (["design", "0.1", "1e8", "--preset", "FILE"],
-     "n0 = 2.0\nn2_m2_per_W = x\n", "preset line 2: n2_m2_per_W: could not parse 'x'"),
+     "lambda_m = 1.55e-6\nn2_m2_per_W = x\n",
+     "preset line 2: n2_m2_per_W: could not parse 'x'"),
     (["fano", "--config", "FILE"], "alpha = 3\n# shift\nkz = x\n",
      "config line 3: kz: could not parse 'x'"),
     (["design", "1e-300", "1e7", "--preset", "si3n4"], None,
      "alpha = 8.83339e-145 is below 2, where the large-|alpha| laws"),
     (["design", "1e-12", "1e8", "--target-db", "-5", "--preset", "si3n4"], None,
      "alpha = 0.279336 is below 2"),
-    (["design", "1e-22", "1e-10", "--n2", "1e-320", "--n0", "2", "--sigma-eff", "1e-12",
+    (["design", "1e-22", "1e-10", "--n2", "1e-320", "--sigma-eff", "1e-12",
       "--wavelength", "1.55e-6"], None, "z_opt = inf is not finite"),
     (["fano", "--config", "FILE"], "alpha = 3\nkz = 0.05\nbeta_re = 0.1\n",
      "config line 3: unknown key 'beta_re'"),
-    (["design", "1e-30", "--target-db", "-5", "--n2", "1e-320", "--n0", "2",
+    (["design", "1e-30", "--target-db", "-5", "--n2", "1e-320",
       "--sigma-eff", "1e-12", "--wavelength", "1.55e-6"], None, "z = inf is not finite"),
-    (["design", "1e6", "1e24", "--n2", "2.5e-19", "--n0", "2", "--sigma-eff", "1e-320",
+    (["design", "1e6", "1e24", "--n2", "2.5e-19", "--sigma-eff", "1e-320",
       "--wavelength", "1.55e-6"], None, "kerr_coupling = inf is not finite"),
     (["wigner", "3", "0.05", "--resolution", "1000000000000"], None,
      "resolution 1000000000000x1000000000000: its grid needs 1.6e+25 B, above the "
@@ -687,8 +684,6 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
      "MAX_FOCK_DIM = 60000"),
     (["optimize", "1e20"], None, "is not positive at beta = "),
     (["optimize", "1e50"], None, "gives no finite dF_min/dkz; doubles do not resolve"),
-    (["optimize", "10", "--tol-kz", "1e-300"], None,
-     "tol_kz: 1e-300 is below the limit MIN_LENGTH_REL_TOL = 2.220446049250313e-16"),
     (["photon-dist", "1", "0.01", "1e160"], None,
      "displacement by |delta| = 1e+160 needs inf levels, above the limit MAX_FOCK_DIM"),
     (["wigner", "1", "0.01", "--beta", "1e200", "--resolution", "11"], None,
@@ -712,7 +707,7 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
      "F = 10^(target_db/10) = 1e-308 is below the smallest normal double"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
-        "tol-kz-0", "tol-kz-negative", "config-tol-kz-0", "design-power-nan",
+        "design-power-nan",
         "design-width-inf", "design-target-nan", "design-target-minus-inf",
         "design-n2-nan", "wigner-center-nan", "wigner-center-nanj", "wigner-half-width-inf",
         "fano-alpha-1e200", "optimize-alpha-1e200", "sweep-alpha-1e200",
@@ -726,7 +721,7 @@ INLINE_WAVEGUIDE = ["--n0", "2.0", "--sigma-eff", "0.3e-12", "--wavelength", "1.
         "optimize-denominator-floor", "fano-kz-1e308", "optimize-kz-1e308",
         "optimize-alpha-1-kz-1e308", "photon-dist-kz-n-squared", "wigner-kz-1e308",
         "fano-alpha-sq-kz", "photon-dist-fock-dim", "optimize-alpha-1e20",
-        "optimize-alpha-1e50", "optimize-tol-kz-1e-300", "photon-dist-shift-1e160",
+        "optimize-alpha-1e50", "photon-dist-shift-1e160",
         "wigner-shift-1e200", "photon-dist-levels-g", "optimize-alpha-1.6e231",
         "wigner-phase-overflow", "photon-dist-shift-1e308", "wigner-shift-1e308",
         "photon-dist-shift-complex-1e308", "design-target-underflow",
@@ -746,6 +741,51 @@ def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["optimize", "10", "--tol-kz", "1e-5"], None, "unrecognized arguments: --tol-kz 1e-5"),
+    (["optimize", "--config", "FILE"], "alpha = 10\ntol_kz = 1e-5\n",
+     "config line 2: unknown key 'tol_kz'"),
+    (["design", "0.1", "1e8", "--n2", "2.5e-19", "--n0", "2"] + INLINE_WAVEGUIDE, None,
+     "unrecognized arguments: --n0 2"),
+    (["design", "0.1", "1e8", "--preset", "FILE"],
+     "n2_m2_per_W = 2.5e-19\nn0 = 2.0\nsigma_eff_m2 = 0.3e-12\nlambda_m = 1.55e-6\n",
+     "preset line 2: unknown key 'n0'"),
+], ids=["tol-kz-flag", "tol-kz-config", "n0-flag", "n0-preset"])
+def test_removed_inputs_are_refused_by_name(argv, text, message, tmp_path, capsys):
+    # the length search's tolerance and the refractive index moved no
+    # computed number and are no longer inputs: naming one is an error
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["(2.2250738585e-313,0.0)", "0.0", "(1e+300,0.0)"],
+    ["(0.0,5e-324)", "1.087", "(0.0,1.7976931348623157e+308)"],
+])
+def test_fano_matches_photon_dist_past_the_double_range(argv, tmp_path):
+    # |alpha|^2 underflows and |beta|^2 overflows, while the shift |beta|
+    # |alpha| the Fock engine takes is in range: the closed form scales beta
+    # by a power of two rather than refusing a nan mean
+    results = []
+    for command in ("fano", "photon-dist"):
+        code, out = run([command, *argv], tmp_path, f"{command}.json")
+        assert code == 0
+        results.append(read_json(out))
+    fano, dist = results
+    (row,) = fano["data"]["rows"]
+    stats = dict(zip(fano["data"]["columns"], row))
+    assert math.isclose(stats["fano"], dist["meta"]["fano"], rel_tol=1e-8)
+    assert math.isclose(stats["mean_photon"], dist["meta"]["mean"], rel_tol=1e-8)
 
 
 def test_module_entry_smoke():

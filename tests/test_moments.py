@@ -1,5 +1,6 @@
 """Closed-form Fano factor vs its invariants and the Fock oracle."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from kerrshift.fock import (
 from kerrshift.moments import (
     DisplacementSetting,
     fano_displaced,
+    fano_forms,
     fano_values,
     g_factors,
     shift_amplitude,
@@ -109,6 +111,19 @@ def test_fano_where_sin_squared_underflows(beta):
     tiny = fano_displaced(KerrScenario(1e100, 1e-200), setting)
     normal = fano_displaced(KerrScenario(1e20, 1e-40), setting)
     assert tiny.fano == pytest.approx(normal.fano, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta, kz", [(1e-154, 1e200, 0.1),
+                                             (2.2250738585e-313, 1e300j, 0.0),
+                                             (5e-324, 1.7976931348623157e308j, 1.087)])
+def test_statistics_past_the_double_range(alpha, beta, kz):
+    # |beta|^2 overflows (and |alpha|^2 underflows in the last two) while the
+    # mean is a double: the forms are taken in units of a power of two of beta
+    report = fano_displaced(KerrScenario(alpha, kz), DisplacementSetting(beta=beta))
+    forms = fano_forms(KerrScenario(alpha, kz))
+    exact = mpmath.mpf(alpha) ** 2 * (forms.s + abs(mpmath.mpc(beta) + forms.g1) ** 2)
+    assert report.mean == pytest.approx(float(exact), rel=1e-15)
+    assert report.fano == 1.0
 
 
 def test_degenerate_denominator():

@@ -136,8 +136,10 @@ def test_scaling_law_bands(scaling_optima):
 
 
 def test_nonconvergence_raises():
+    # a bracket of width 0 is never reached: the search stops at MAX_ITER
     with pytest.raises(NonConvergence):
-        optimize_length(10.0, rel_tol=0.0)
+        optimize_mod._slope_root(lambda kz: optimize_mod._length_slope(10.0, kz),
+                                 kz_opt_approx(10.0), rel_tol=0.0)
 
 
 def _fano_min_mp(alpha: float, kz):

@@ -39,8 +39,8 @@ def test_gamma_value():
 
 
 def test_gamma_scales_with_n2():
-    doubled = WaveguideSpec(n2=2 * SI3N4.n2, n0=SI3N4.n0,
-                            sigma_eff=SI3N4.sigma_eff, wavelength=SI3N4.wavelength)
+    doubled = WaveguideSpec(n2=2 * SI3N4.n2, sigma_eff=SI3N4.sigma_eff,
+                            wavelength=SI3N4.wavelength)
     assert gamma(doubled) == pytest.approx(2 * gamma(SI3N4), rel=1e-14)
 
 
@@ -75,7 +75,7 @@ def test_kerr_coupling_inverse_coherence_time():
 @settings(max_examples=60, deadline=None)
 def test_coupling_identity(n2, sigma, lam, power, df):
     # 2 |a|^2 K = gamma P, exactly
-    wg = WaveguideSpec(n2=n2, n0=1.9, sigma_eff=sigma, wavelength=lam)
+    wg = WaveguideSpec(n2=n2, sigma_eff=sigma, wavelength=lam)
     beam = BeamSpec(power=power, spectral_width=df)
     lhs = 2.0 * alpha_from_power(beam, wg) ** 2 * kerr_coupling(wg, beam)
     rhs = gamma(wg) * beam.power
@@ -158,9 +158,9 @@ def test_target_validation():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        WaveguideSpec(n2=-1e-19, n0=2.0, sigma_eff=1e-13, wavelength=1.55e-6)
+        WaveguideSpec(n2=-1e-19, sigma_eff=1e-13, wavelength=1.55e-6)
     with pytest.raises(ValueError):
-        WaveguideSpec(n2=1e-19, n0=2.0, sigma_eff=1e-13, wavelength=50e-6)
+        WaveguideSpec(n2=1e-19, sigma_eff=1e-13, wavelength=50e-6)
     with pytest.raises(ValueError):
         BeamSpec(power=0.0, spectral_width=1e6)
 
@@ -179,7 +179,7 @@ def test_parse_preset_errors():
 def test_overflowing_results_are_named():
     # finite inputs whose results overflow: refused, not returned as inf
     # (the design command's cases are in test_cli)
-    strong = WaveguideSpec(n2=1e300, n0=2.0, sigma_eff=1e-13, wavelength=1.55e-6)
+    strong = WaveguideSpec(n2=1e300, sigma_eff=1e-13, wavelength=1.55e-6)
     with pytest.raises(NumericalOverflow, match="gamma = inf"):
         gamma(strong)
     with pytest.raises(NumericalOverflow, match="z_opt = inf"):
@@ -188,7 +188,7 @@ def test_overflowing_results_are_named():
 
 def test_load_preset_from_path(tmp_path):
     path = tmp_path / "custom.txt"
-    path.write_text("n2_m2_per_W = 1e-19\nn0 = 1.7\n"
+    path.write_text("n2_m2_per_W = 1e-19\n"
                     "sigma_eff_m2 = 1e-13\nlambda_m = 1.0e-6\n")
     wg = load_preset(str(path))
     assert wg.n2 == 1e-19
