@@ -5,8 +5,8 @@ holds only `__version__`. The layers, from the bottom up, each importing
 only layers listed before it:
     errors     the named failures
     serialize  JSON and CSV artifacts
+    moments    the scenario and statistics records; the closed-form Fano factor
     fock       truncated-Fock states: coherent, Kerr-evolved, displaced
-    moments    closed-form Fano factor of the displaced Kerr state
     approx     asymptotic laws for the optimum length and Fano floor
     optimize   optimal shift and length, length sweeps
     waveguide  physical waveguide and beam design numbers

@@ -8,12 +8,12 @@ All radical constants are evaluated at runtime, not hard-coded decimals.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import OutOfValidityRange
 
 # (sqrt(3)/2)^(1/3) ~ 0.953: crossover coefficient
-KZ_APP_COEFF = (np.sqrt(3.0) / 2.0) ** (1.0 / 3.0)
+KZ_APP_COEFF = (math.sqrt(3.0) / 2.0) ** (1.0 / 3.0)
 # 3^(1/6) / 2^(4/3) ~ 0.477: optimal-length coefficient (argmin of F2)
 KZ_OPT_COEFF = 3.0 ** (1.0 / 6.0) / 2.0 ** (4.0 / 3.0)
 # 3^(2/3) / 2^(7/3) ~ 0.413: minimal-Fano coefficient (F2 at its argmin)
@@ -25,12 +25,13 @@ MIN_ALPHA = 2.0
 
 
 def f1_short(alpha_sq: float, kz: float) -> float:
-    """Short-length approximation exp(-4 |a|^2 kz + |a|^4 kz^2)."""
+    """Short-length approximation exp(-4 |a|^2 kz + |a|^4 kz^2). Past the
+    largest double (|a|^2 kz above about 28.7) it raises OverflowError."""
     if alpha_sq <= 0:
         raise ValueError("alpha_sq must be positive")
     if kz < 0:
         raise ValueError("kz must be non-negative")
-    return float(np.exp(-4.0 * alpha_sq * kz + (alpha_sq * kz) ** 2))
+    return math.exp(-4.0 * alpha_sq * kz + (alpha_sq * kz) ** 2)
 
 
 def f2_near_opt(alpha_sq: float, kz: float) -> float:

@@ -39,7 +39,6 @@ import numpy as np
 from . import __version__
 from .errors import KerrshiftError, NonConvergence
 from .fock import (
-    KerrScenario,
     coherent_state,
     displace,
     kerr_evolve,
@@ -47,7 +46,7 @@ from .fock import (
     photon_statistics,
     poisson_probabilities,
 )
-from .moments import DisplacementSetting, fano_displaced, shift_amplitude
+from .moments import DisplacementSetting, KerrScenario, fano_displaced, shift_amplitude
 from .optimize import optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
 from .serialize import Artifact, Grid, read_key_values

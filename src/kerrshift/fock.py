@@ -3,7 +3,8 @@
 This is the brute-force engine the closed-form results are validated against.
 States are plain amplitude vectors c_n over n = 0..n_trunc; every operation is
 a pure function returning a fresh, normalized state. It needs only numpy and
-the standard library.
+the standard library, and takes from the closed form only the record
+photon_statistics() returns, moments.PhotonStatistics.
 
 The Poisson weights e^{-r^2/2} r^n / sqrt(n!) of the coherent state and
 of its tail past the basis, of column 0 of the displacement and of
@@ -24,9 +25,7 @@ levels).
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .errors import (
     TruncationUnachievable,
     ZeroMeanPhoton,
 )
+from .moments import PhotonStatistics
 
 # Largest |alpha| of the Fock engine; past it, analytic formulas only. The
 # coherent basis at 200 has n_trunc = 42 020. This caps time, not memory:
@@ -55,12 +55,6 @@ MAX_AMPLITUDE = 200.0
 # the vacuum.
 MAX_FOCK_DIM = 60_000
 
-# The largest |alpha| whose square abs_alpha_sq is finite.
-_MAX_ABS_ALPHA = math.sqrt(sys.float_info.max)
-# Largest Kerr phase 4 kz and 4 |alpha|^2 kz of a KerrScenario. The closed
-# forms take the sine of 4 kz and |alpha|^2 (sin 4kz - 4kz), which is at most
-# |alpha|^2 (4 kz + 1) in size; below half the largest double both are finite.
-MAX_KERR_PHASE = sys.float_info.max / 2
 # Largest Kerr phase kz n^2 that kerr_evolve() forms, rounded by up to
 # 2^-20 rad: F then moves by up to 2e-8 relative (300 random states), and
 # far above it (kz = 1e300 at |alpha| = 1) nothing of F is left. It holds
@@ -107,32 +101,6 @@ class FockState:
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |c_n|^2 = {norm_sq!r}")
         self.amplitudes.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class KerrScenario:
-    """Dimensionless problem instance: input amplitude and accumulated Kerr phase K*z."""
-
-    alpha: complex
-    kz: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.kz) or self.kz < 0:
-            raise ValueError(f"kz must be finite and >= 0, got {self.kz}")
-        if not cmath.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if abs(self.alpha) > _MAX_ABS_ALPHA:
-            raise ValueError(
-                f"alpha must have a finite |alpha|^2, got |alpha| = {abs(self.alpha):g}")
-        four_kz = 4.0 * self.kz
-        for name, phase in (("4 kz", four_kz), ("4 |alpha|^2 kz", self.abs_alpha_sq * four_kz)):
-            if phase > MAX_KERR_PHASE:
-                raise ValueError(f"kz = {self.kz!r}: the Kerr phase {name} = {phase:g} is "
-                                 f"above MAX_KERR_PHASE = {MAX_KERR_PHASE:g}")
-
-    @property
-    def abs_alpha_sq(self) -> float:
-        return abs(self.alpha) ** 2
 
 
 def _normalized(amplitudes: np.ndarray, tail_mass: float) -> FockState:
@@ -605,25 +573,6 @@ def field_moment(state: FockState, k: int, l: int) -> complex:
         factor *= n - j
     factor = np.sqrt(factor)
     return complex(np.sum(np.conj(c[n + d]) * c[n] * factor))
-
-
-@dataclass(frozen=True)
-class PhotonStatistics:
-    """Photon-number mean, variance and Fano factor F = variance / mean, as
-    both engines report them: photon_statistics() from a Fock state and
-    moments.fano_displaced() from the closed form."""
-
-    mean: float
-    variance: float
-    fano: float
-
-    @property
-    def mandel_q(self) -> float:
-        return self.fano - 1.0
-
-    @property
-    def suppression_db(self) -> float:
-        return 10.0 * np.log10(self.fano)
 
 
 def photon_statistics(state: FockState) -> PhotonStatistics:

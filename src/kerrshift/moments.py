@@ -20,16 +20,64 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BelowResolution, DegenerateDenominator, NumericalOverflow
-from .fock import KerrScenario, PhotonStatistics
 
+# The largest |alpha| whose square abs_alpha_sq is finite.
+_MAX_ABS_ALPHA = math.sqrt(sys.float_info.max)
+# Largest Kerr phase 4 kz and 4 |alpha|^2 kz of a KerrScenario. The closed
+# forms take the sine of 4 kz and |alpha|^2 (sin 4kz - 4kz), which is at most
+# |alpha|^2 (4 kz + 1) in size; below half the largest double both are finite.
+MAX_KERR_PHASE = sys.float_info.max / 2
 # F is refused where its denominator s + |beta + g1|^2 is at or below this
 DENOM_FLOOR = 1e-15
 # Largest |beta| tau |alpha| of shift_amplitude(): no part of its product overflows
 MAX_SHIFT = sys.float_info.max / 2
 _TINY = sys.float_info.min  # the smallest normal double
+
+
+@dataclass(frozen=True)
+class KerrScenario:
+    """Dimensionless problem instance: input amplitude and accumulated Kerr phase K*z."""
+
+    alpha: complex
+    kz: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.kz) or self.kz < 0:
+            raise ValueError(f"kz must be finite and >= 0, got {self.kz}")
+        if not cmath.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+        if abs(self.alpha) > _MAX_ABS_ALPHA:
+            raise ValueError(
+                f"alpha must have a finite |alpha|^2, got |alpha| = {abs(self.alpha):g}")
+        four_kz = 4.0 * self.kz
+        for name, phase in (("4 kz", four_kz), ("4 |alpha|^2 kz", self.abs_alpha_sq * four_kz)):
+            if phase > MAX_KERR_PHASE:
+                raise ValueError(f"kz = {self.kz!r}: the Kerr phase {name} = {phase:g} is "
+                                 f"above MAX_KERR_PHASE = {MAX_KERR_PHASE:g}")
+
+    @property
+    def abs_alpha_sq(self) -> float:
+        return abs(self.alpha) ** 2
+
+
+@dataclass(frozen=True)
+class PhotonStatistics:
+    """Photon-number mean, variance and Fano factor F = variance / mean, as
+    both engines report them: fano_displaced() from the closed form and
+    fock.photon_statistics() from a Fock state."""
+
+    mean: float
+    variance: float
+    fano: float
+
+    @property
+    def mandel_q(self) -> float:
+        return self.fano - 1.0
+
+    @property
+    def suppression_db(self) -> float:
+        return 10.0 * math.log10(self.fano)
 
 
 def _sin_minus_arg(t: float) -> float:
@@ -94,8 +142,8 @@ def shift_amplitude(scenario: KerrScenario, setting: DisplacementSetting) -> com
         raise NumericalOverflow(f"shift size |beta| tau |alpha| = {size:g} is above "
                                 f"MAX_SHIFT = {MAX_SHIFT:g}")
     return complex(beta * setting.tau * scenario.alpha
-                   * np.exp(1j * scenario.kz)
-                   * np.exp(2j * (scenario.abs_alpha_sq * scenario.kz)))
+                   * cmath.exp(1j * scenario.kz)
+                   * cmath.exp(2j * (scenario.abs_alpha_sq * scenario.kz)))
 
 
 @dataclass(frozen=True)
@@ -253,9 +301,12 @@ def fano_forms(scenario: KerrScenario, rate: bool = False) -> FanoForms:
     return FanoForms(g1, s, _bracket(c, w, s), rates)
 
 
-def fano_values(scenario: KerrScenario, betas) -> np.ndarray:
+def fano_values(scenario: KerrScenario, betas):
     """Vectorized Fano factor over an array of shift coordinates beta, at tau = 1.
-    A large beta overflows to inf or nan without a warning."""
+    A large beta overflows to inf or nan without a warning. The one use of
+    numpy in this module, imported here, so the scalar closed forms load none."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return fano_forms(scenario).evaluate(np.asarray(betas, dtype=complex),
                                              scenario.abs_alpha_sq)

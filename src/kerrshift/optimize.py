@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 from .approx import MIN_ALPHA, kz_opt_approx
 from .errors import BelowResolution, NonConvergence, UnboundedOptimum
-from .fock import KerrScenario
-from .moments import FanoForms, fano_forms
+from .moments import FanoForms, KerrScenario, fano_forms
 
 # The one tolerance of the solve: a gain 1 - F_min at or below it counts as
 # none, and the zero shift (the cheapest displacement) is returned.
@@ -87,10 +86,11 @@ def _smallest_eigenpair(a) -> tuple[float, tuple[float, float, float]]:
 
     A is first multiplied by an exact power of two that brings its largest
     entry into [0.5, 1), so that products of three entries neither overflow
-    nor underflow. One rotation diagonalizes the block A[1:, 1:] to
-    d1 <= d2 = d1 + D (D from a hypot, without cancellation) and turns the
-    border into (z1, z2): an arrowhead matrix, whose characteristic
-    polynomial in the distance t = d1 - lam below d1 is
+    nor underflow; the zero matrix stays zero and gets (0, (0, 1, 0)). One
+    rotation diagonalizes the block A[1:, 1:] to d1 <= d2 = d1 + D (D from a
+    hypot, without cancellation) and turns the border into (z1, z2): an
+    arrowhead matrix, whose characteristic polynomial in the distance
+    t = d1 - lam below d1 is
 
         P(t) = (c + t) t (D + t) - z1^2 (D + t) - z2^2 t,    c = A00 - d1.
 
@@ -110,10 +110,7 @@ def _smallest_eigenpair(a) -> tuple[float, tuple[float, float, float]]:
     t* = 0 it is the block's (0, 1, 0).
     """
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = a
-    top = max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
-    if top == 0.0:
-        return 0.0, (1.0, 0.0, 0.0)
-    scale = -math.frexp(top)[1]
+    scale = -math.frexp(max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22)))[1]
     a00, a01, a02, a11, a12, a22 = (math.ldexp(v, scale) for v in (a00, a01, a02, a11, a12, a22))
     # the block's smaller eigenvalue d1, its eigenvector (vx, vy), and D = d2 - d1
     half_diff, mid = (a11 - a22) / 2.0, (a11 + a22) / 2.0

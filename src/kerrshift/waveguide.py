@@ -5,18 +5,17 @@ by the power within one coherence time, |a|^2 = P tau_coh / (hbar omega), and
 the per-meter Kerr coupling is K = n2 hbar omega^2 / (2 c tau_coh sigma). The
 two are tied to the fiber-optics nonlinear parameter gamma = 2 pi n2 / (lambda
 sigma_eff) through the exact identity 2 |a|^2 K = gamma P. Finite inputs
-can overflow these products; a result that is not finite raises
-NumericalOverflow naming the quantity.
+can overflow these products, or underflow a denominator to 0; a result that
+is not finite raises NumericalOverflow naming the quantity.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .approx import KZ_APP_COEFF, MIN_ALPHA, f_min_approx
 from .errors import NumericalOverflow, TargetBelowFloor
@@ -45,11 +44,10 @@ def _finite(name: str, value: float) -> float:
 
 
 def _quotient(name: str, numerator: float, denominator: float) -> float:
-    """numerator / denominator through _finite(). In numpy a denominator
-    that underflowed to 0 gives inf, where a Python float would raise
-    ZeroDivisionError."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return _finite(name, float(np.float64(numerator) / denominator))
+    """numerator / denominator (positive) through _finite(). A denominator
+    that underflowed to 0 counts as an infinite quotient, so it is refused by
+    name as an overflow is, not by Python's ZeroDivisionError."""
+    return _finite(name, numerator / denominator if denominator else math.inf)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class WaveguideSpec:
 
     @property
     def omega(self) -> float:
-        return 2.0 * np.pi * SPEED_OF_LIGHT / self.wavelength
+        return 2.0 * math.pi * SPEED_OF_LIGHT / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,12 @@ def _law_range(alpha: float) -> None:
 
 def alpha_from_power(beam: BeamSpec, wg: WaveguideSpec) -> float:
     """Dimensionless amplitude |a| = sqrt(P tau_coh / hbar omega)."""
-    return _finite("alpha", float(np.sqrt(_photon_number(beam, wg))))
+    return _finite("alpha", math.sqrt(_photon_number(beam, wg)))
 
 
 def gamma(wg: WaveguideSpec) -> float:
     """Fiber-optics nonlinear parameter 2 pi n2 / (lambda sigma_eff), in 1/(W m)."""
-    return _finite("gamma", 2.0 * np.pi * wg.n2 / (wg.wavelength * wg.sigma_eff))
+    return _finite("gamma", 2.0 * math.pi * wg.n2 / (wg.wavelength * wg.sigma_eff))
 
 
 def z_opt_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
@@ -125,12 +123,10 @@ def z_opt_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
     """
     intensity = beam.power / wg.sigma_eff
     photon_number = _photon_number(beam, wg)
-    _law_range(np.sqrt(photon_number))
-    # numpy arithmetic (KZ_APP_COEFF): _finite names an n2 I that underflowed to 0
-    with np.errstate(all="ignore"):
-        z_opt = (wg.wavelength * KZ_APP_COEFF / (2.0 * np.pi)
-                 / (wg.n2 * intensity) * photon_number ** (1.0 / 3.0))
-    return _finite("z_opt", z_opt)
+    _law_range(math.sqrt(photon_number))
+    quotient = _quotient("z_opt", wg.wavelength * KZ_APP_COEFF / (2.0 * math.pi),
+                         wg.n2 * intensity)
+    return _finite("z_opt", quotient * photon_number ** (1.0 / 3.0))
 
 
 def fano_floor_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
@@ -138,7 +134,7 @@ def fano_floor_physical(wg: WaveguideSpec, beam: BeamSpec) -> float:
     Refused for |a| < MIN_ALPHA."""
     alpha = alpha_from_power(beam, wg)
     _law_range(alpha)
-    return _finite("fano_floor", float(10.0 * np.log10(f_min_approx(alpha))))
+    return _finite("fano_floor", 10.0 * math.log10(f_min_approx(alpha)))
 
 
 def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
@@ -165,15 +161,15 @@ def length_for_suppression(target_db: float, power: float, wg: WaveguideSpec,
             raise TargetBelowFloor(
                 f"target {target_db} dB is below the physical floor {floor:.1f} dB")
     fano = 10.0 ** (target_db / 10.0)
-    if fano < np.finfo(float).tiny:
+    if fano < sys.float_info.min:
         raise ValueError(f"target_db = {target_db!r}: F = 10^(target_db/10) = {fano:g} is "
                          f"below the smallest normal double")
     if target_db >= CROSSOVER_DB:
         # x^2 - 4x - ln(F) = 0, smaller root
-        x = (4.0 - np.sqrt(16.0 + 4.0 * np.log(fano))) / 2.0
+        x = (4.0 - math.sqrt(16.0 + 4.0 * math.log(fano))) / 2.0
     else:
-        x = 1.0 / (4.0 * np.sqrt(fano))
-    return _quotient("z", 2.0 * float(x), gamma(wg) * power), float(x)
+        x = 1.0 / (4.0 * math.sqrt(fano))
+    return _quotient("z", 2.0 * x, gamma(wg) * power), x
 
 
 _PRESET_KEYS = {"n2_m2_per_W": "n2", "sigma_eff_m2": "sigma_eff", "lambda_m": "wavelength"}

@@ -21,13 +21,17 @@ import pytest
 
 from kerrshift.approx import f2_near_opt, f_min_approx, kz_app, kz_opt_approx
 from kerrshift.fock import (
-    KerrScenario,
     coherent_state,
     displace,
     kerr_evolve,
     photon_statistics,
 )
-from kerrshift.moments import DisplacementSetting, fano_displaced, shift_amplitude
+from kerrshift.moments import (
+    DisplacementSetting,
+    KerrScenario,
+    fano_displaced,
+    shift_amplitude,
+)
 from kerrshift.optimize import optimize_beta, rayleigh_lower_bound
 from kerrshift.reference import TABLE1, TABLE3
 from kerrshift.reproduce import build_table1, build_table2, build_table3, build_fig4

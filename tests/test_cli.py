@@ -18,7 +18,6 @@ from conftest import checkout_env, length_optimum
 import kerrshift.cli as cli
 from kerrshift.cli import build_parser, main
 from kerrshift.fock import (
-    KerrScenario,
     coherent_state,
     displace,
     kerr_evolve,
@@ -26,7 +25,12 @@ from kerrshift.fock import (
     photon_statistics,
     poisson_probabilities,
 )
-from kerrshift.moments import DisplacementSetting, fano_displaced, shift_amplitude
+from kerrshift.moments import (
+    DisplacementSetting,
+    KerrScenario,
+    fano_displaced,
+    shift_amplitude,
+)
 from kerrshift.optimize import optimize_beta
 from kerrshift.serialize import Artifact, to_json_text
 from kerrshift.wigner import W_FLOOR, auto_window, wigner
@@ -148,6 +152,18 @@ def test_sweep_length_grid(tmp_path):
                      "--kz-points", "4"], tmp_path, "sweep2.json")
     assert code == 0
     assert len(read_json(out)["data"]["rows"]) == 4
+
+
+@pytest.mark.parametrize("kz_min, kz_max, points", [
+    (1e-3, 0.05, 7), (0.05, 1e-3, 5), (2e-4, 2e-4, 1)])
+def test_sweep_length_log_grid_is_geomspace(kz_min, kz_max, points, tmp_path):
+    code, out = run(["sweep-length", "10", "--kz-min", repr(kz_min), "--kz-max",
+                     repr(kz_max), "--kz-points", str(points), "--kz-log"],
+                    tmp_path, "sweep.json")
+    assert code == 0
+    data = read_json(out)["data"]
+    kz = [row[data["columns"].index("kz")] for row in data["rows"]]
+    assert kz == np.geomspace(kz_min, kz_max, points).tolist()
 
 
 def test_wigner_artifact_and_normalization(tmp_path):
@@ -705,6 +721,10 @@ INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
      "target_db = -3300.0: F = 10^(target_db/10) = 0 is below the smallest normal double"),
     (["design", "4.97", "--preset", "si3n4", "--target-db", "-3080"], None,
      "F = 10^(target_db/10) = 1e-308 is below the smallest normal double"),
+    (["sweep-length", "10", "--kz-min", "-0.01", "--kz-max", "0.02", "--kz-log"], None,
+     "kz-min: must be positive with --kz-log, got -0.01"),
+    (["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0", "--kz-log"], None,
+     "kz-max: must be positive with --kz-log, got 0.0"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "design-power-nan",
@@ -725,7 +745,7 @@ INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
         "wigner-shift-1e200", "photon-dist-levels-g", "optimize-alpha-1.6e231",
         "wigner-phase-overflow", "photon-dist-shift-1e308", "wigner-shift-1e308",
         "photon-dist-shift-complex-1e308", "design-target-underflow",
-        "design-target-subnormal"])
+        "design-target-subnormal", "sweep-log-kz-min-negative", "sweep-log-kz-max-zero"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

@@ -20,7 +20,6 @@ from kerrshift.errors import (
 from kerrshift.fock import (
     _BAND_TOL,
     FockState,
-    KerrScenario,
     _band,
     _columns,
     _edge_band,
@@ -34,6 +33,7 @@ from kerrshift.fock import (
 )
 from kerrshift.moments import (
     DisplacementSetting,
+    KerrScenario,
     fano_displaced,
     g_factors,
     shift_amplitude,

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from kerrshift.errors import DegenerateDenominator
 from kerrshift.fock import (
-    KerrScenario,
     coherent_state,
     displace,
     kerr_evolve,
@@ -15,6 +14,7 @@ from kerrshift.fock import (
 )
 from kerrshift.moments import (
     DisplacementSetting,
+    KerrScenario,
     fano_displaced,
     fano_forms,
     fano_values,

@@ -1,7 +1,10 @@
 """Shift and length optimization against published optima, a brute search and the eigenvalue bound."""
 
+import ast
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrshift.optimize as optimize_mod
+from conftest import checkout_env
 from kerrshift.approx import kz_app, kz_opt_approx
 from kerrshift.cli import main
 from kerrshift.errors import NonConvergence, UnboundedOptimum
-from kerrshift.fock import KerrScenario
-from kerrshift.moments import FanoForms, fano_forms, fano_values, g_factors
+from kerrshift.moments import FanoForms, KerrScenario, fano_forms, fano_values, g_factors
 from kerrshift.optimize import (
     optimize_beta,
     optimize_length,
@@ -330,6 +333,9 @@ def test_pencil_eigenvalue_matches_50_digits():
             top = max(abs(v) for row in matrix for v in row)
             assert abs(lam - values[i]) <= 2.0 * eps * top, (alpha, frac)
             assert gamma_error <= 8.0 * eps, (alpha, frac)
+    # the zero matrix: every vector is an eigenvector of its one eigenvalue 0
+    zero = ((0.0, 0.0, 0.0),) * 3
+    assert optimize_mod._smallest_eigenpair(zero) == (0.0, (0.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("alpha, kz", [(1e10, 1e-20), (1e75, 1e-150), (1e150, 1e-300)])
@@ -352,3 +358,29 @@ def test_closed_form_commands_never_reach_numpy_linalg(monkeypatch):
                   "--kz-points", "7"],
                  ["reproduce", "fig5"]):
         assert main(argv) == 0, argv
+
+
+def test_closed_form_path_loads_no_numpy():
+    # the records, the closed forms and the optimizer are Python floats
+    # throughout; numpy stays out of a process that uses only them
+    script = (
+        "import sys\n"
+        "from kerrshift.moments import DisplacementSetting, KerrScenario, fano_displaced\n"
+        "from kerrshift.optimize import optimize_length\n"
+        "opt = optimize_length(10.0)\n"
+        "stats = fano_displaced(KerrScenario(10.0, opt.kz),\n"
+        "                       DisplacementSetting(beta=opt.beta_opt))\n"
+        "values = (opt.kz, opt.fano_min, opt.suppression_db, stats.fano,\n"
+        "          stats.suppression_db)\n"
+        "print('numpy' in sys.modules, [type(v).__name__ for v in values])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=checkout_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False " + str(["float"] * 5)
+    for name in ("moments", "approx", "optimize", "waveguide"):
+        tree = ast.parse(Path(optimize_mod.__file__).with_name(f"{name}.py").read_text())
+        top = [alias.name for node in tree.body if isinstance(node, ast.Import)
+               for alias in node.names]
+        top += [node.module or "" for node in tree.body if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in top if m.split(".")[0] == "numpy"], name

@@ -11,14 +11,13 @@ import kerrshift.wigner as wigner_module
 from kerrshift.errors import StateTooLarge
 from kerrshift.fock import (
     FockState,
-    KerrScenario,
     coherent_state,
     displace,
     field_moment,
     kerr_evolve,
     photon_distribution,
 )
-from kerrshift.moments import DisplacementSetting, shift_amplitude
+from kerrshift.moments import DisplacementSetting, KerrScenario, shift_amplitude
 from kerrshift.wigner import (
     MAX_WIGNER_BYTES,
     W_FLOOR,
