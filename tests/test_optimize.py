@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import kerrshift.optimize as optimize_mod
 from conftest import checkout_env
+import kerrshift.optimize as optimize_mod
 from kerrshift.approx import kz_app, kz_opt_approx
 from kerrshift.cli import main
 from kerrshift.errors import NonConvergence, UnboundedOptimum
