@@ -17,8 +17,9 @@ either exits 2 naming the file kind, the line and the key. Meta "config"
 echoes the inputs, a complex one as <name>_re, <name>_im (_meta). The
 length search's tolerance is fixed (optimize.optimize_length). fano and
 photon-dist report the same PhotonStatistics record, from the closed form
-and from the Fock engine. Each command returns its artifact and its
-human-readable lines; main writes both and maps errors to exit codes.
+and from the Fock engine, and refuse by the same DENOM_FLOOR. Each command
+returns its artifact and its human-readable lines; main writes both and
+maps errors to exit codes.
 
 The COMMANDS table maps each subcommand to its handler, help, positionals
 and options, and COMMON holds the flags every command takes. main reads a
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .errors import KerrshiftError, NonConvergence
+from .errors import DegenerateDenominator, KerrshiftError, NonConvergence
 from .fock import (
     coherent_state,
     displace,
@@ -46,7 +47,13 @@ from .fock import (
     photon_statistics,
     poisson_probabilities,
 )
-from .moments import DisplacementSetting, KerrScenario, fano_displaced, shift_amplitude
+from .moments import (
+    DENOM_FLOOR,
+    DisplacementSetting,
+    KerrScenario,
+    fano_displaced,
+    shift_amplitude,
+)
 from .optimize import optimize_beta, optimize_length, sweep_length
 from .reproduce import TARGETS, build
 from .serialize import Artifact, Grid, read_key_values
@@ -299,6 +306,11 @@ def cmd_photon_dist(args, config: dict):
     state, _ = _displaced_state(KerrScenario(alpha, kz), beta)
     probs = photon_distribution(state)
     stats = photon_statistics(state)
+    # fano's denominator of F is mean / |alpha|^2 here (tau = 1): one floor for both
+    floor = DENOM_FLOOR * abs(alpha) ** 2
+    if stats.mean <= floor:
+        raise DegenerateDenominator(f"mean photon number {stats.mean!r} is at or below "
+                                    f"DENOM_FLOOR |alpha|^2 = {floor!r} at beta = {beta}")
     # Poissonian comparison at the same mean, over the levels shown
     n = np.arange(len(probs))
     pois = poisson_probabilities(stats.mean, len(probs))

@@ -232,8 +232,8 @@ def _length_slope(alpha: complex, kz: float) -> float:
     return slope
 
 
-def _slope_root(slope, kz0: float, rel_tol: float) -> float:
-    """A root of slope(kz) near kz0, to a bracket of rel_tol kz; a slope of 0
+def _slope_root(slope, kz0: float) -> float:
+    """A root of slope(kz) near kz0, to a bracket of LENGTH_REL_TOL kz; a slope of 0
     counts as positive.
 
     A sign bracket comes first: steps from kz0 toward descent (to the right
@@ -263,7 +263,7 @@ def _slope_root(slope, kz0: float, rel_tol: float) -> float:
     weight_lo = weight_hi = 1.0
     side = 0
     for _ in range(MAX_ITER):
-        done = hi - lo <= rel_tol * lo
+        done = hi - lo <= LENGTH_REL_TOL * lo
         a, b = (f_lo, f_hi) if done else (f_lo * weight_lo, f_hi * weight_hi)
         kz = (lo * b - hi * a) / (b - a)
         if not lo < kz < hi:
@@ -280,7 +280,7 @@ def _slope_root(slope, kz0: float, rel_tol: float) -> float:
             weight_lo = weight_lo / 2.0 if side > 0 else 1.0
             side = 1
     raise NonConvergence(f"length search: the dF_min/dkz bracket [{lo!r}, {hi!r}] is "
-                         f"not within rel_tol = {rel_tol!r} after {MAX_ITER} iterations")
+                         f"not within LENGTH_REL_TOL kz after {MAX_ITER} iterations")
 
 
 def optimize_length(alpha: complex) -> Optimum:
@@ -296,8 +296,7 @@ def optimize_length(alpha: complex) -> Optimum:
     # KerrScenario's checks on alpha first: kz_opt_approx overflows past
     # |alpha| ~ 1.5e231, where |alpha|^2 is long past finite
     KerrScenario(alpha, 0.0)
-    kz = _slope_root(lambda kz: _length_slope(alpha, kz), kz_opt_approx(abs(alpha)),
-                     LENGTH_REL_TOL)
+    kz = _slope_root(lambda kz: _length_slope(alpha, kz), kz_opt_approx(abs(alpha)))
     return optimize_beta(KerrScenario(alpha, kz))
 
 

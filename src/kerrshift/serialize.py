@@ -159,10 +159,9 @@ def _json_blocks(value, indent: int):
 
 
 def _json_leaf(value, indent: int) -> str:
-    """A scalar, an empty dict or list, or a list of scalars."""
+    """A scalar, or a list of scalars (an empty one too). No artifact holds
+    None or an empty dict, so neither has a leaf."""
     value = _denumpy(value)
-    if value is None:
-        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -173,8 +172,6 @@ def _json_leaf(value, indent: int) -> str:
         escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
                    .replace("\n", "\\n").replace("\t", "\\t"))
         return f'"{escaped}"'
-    if isinstance(value, dict):
-        return "{}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_value(v, indent) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -197,7 +197,7 @@ def wigner(state: FockState, center: complex, half_width: float,
     if not math.isfinite(4.0 * (half_width + max(abs(center.real), abs(center.imag)))):
         raise ValueError(f"half_width = {half_width:g} about center {center}: the window "
                          f"reaches past the largest double")
-    xs =center.real + np.linspace(-half_width, half_width, resolution)
+    xs = center.real + np.linspace(-half_width, half_width, resolution)
     ys = center.imag + np.linspace(-half_width, half_width, resolution)
     return Grid(xs, ys, _wigner_grid(state, xs, ys))
 

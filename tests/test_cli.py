@@ -148,10 +148,15 @@ def test_sweep_length_values(tmp_path):
 
 
 def test_sweep_length_grid(tmp_path):
-    code, out = run(["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.03",
-                     "--kz-points", "4"], tmp_path, "sweep2.json")
-    assert code == 0
-    assert len(read_json(out)["data"]["rows"]) == 4
+    meta, json_text, csv_text = _json_and_csv(
+        ["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0.03", "--kz-points", "4"],
+        tmp_path, "sweep2")
+    assert len(json.loads(json_text)["data"]["rows"]) == 4
+    # the CSV writes the list-valued meta on one comment line, ';'-separated
+    kz_values = meta["config"]["kz_values"]
+    assert len(kz_values) == 4
+    assert "# config.kz_values=" + ";".join("%.17g" % kz for kz in kz_values) \
+        in csv_text.splitlines()
 
 
 @pytest.mark.parametrize("kz_min, kz_max, points", [
@@ -264,6 +269,15 @@ def test_photon_dist_of_the_vacuum_is_a_named_error(capsys):
     # F = Var(n) / <n> is undefined at <n> = 0: exit 2, not a NaN artifact
     assert main(["photon-dist", "0", "0", "0"]) == 2
     assert "zero mean photon number" in capsys.readouterr().err
+
+
+def test_wigner_of_the_shift_back_to_the_vacuum(tmp_path):
+    # D(-alpha)|alpha> is the vacuum: photon-dist refuses its mean, a rounding
+    # residue, by DENOM_FLOOR as fano does, but the map is the vacuum's
+    code, out = run(["wigner", "1", "0", "--beta", "-1", "--resolution", "21"],
+                    tmp_path, "w.json")
+    assert code == 0
+    assert read_json(out)["meta"]["w_max"] == pytest.approx(2.0 / np.pi, rel=1e-12)
 
 
 def test_photon_dist_at_alpha_80(tmp_path):
@@ -725,6 +739,16 @@ INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
      "kz-min: must be positive with --kz-log, got -0.01"),
     (["sweep-length", "10", "--kz-min", "0.01", "--kz-max", "0", "--kz-log"], None,
      "kz-max: must be positive with --kz-log, got 0.0"),
+    (["photon-dist", "1", "0", "-1"], None,
+     "is at or below DENOM_FLOOR |alpha|^2 = 1e-15 at beta = (-1+0j)"),
+    (["fano", "--config", "missing/config.txt"], None,
+     "config: [Errno 2] No such file or directory: 'missing/config.txt'"),
+    (["design", "0.1", "1e8", "--preset", "no-such-preset"], None,
+     "preset: no bundled preset or file named 'no-such-preset'"),
+    (["sweep-length", "10"], None,
+     "kz-values: give --kz-values or both --kz-min and --kz-max"),
+    (["fano", "nan", "0.1", "0.1"], None, "alpha must be finite"),
+    (["wigner", "3", "0.05", "--resolution", "1"], None, "resolution must be at least 2"),
 ], ids=["n2", "power", "preset-file", "kz-points", "kz-min", "kz-values", "half_width",
         "config-alpha-0", "fano-beta-nan", "fano-beta-inf", "photon-dist-beta-nan",
         "design-power-nan",
@@ -745,7 +769,9 @@ INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
         "wigner-shift-1e200", "photon-dist-levels-g", "optimize-alpha-1.6e231",
         "wigner-phase-overflow", "photon-dist-shift-1e308", "wigner-shift-1e308",
         "photon-dist-shift-complex-1e308", "design-target-underflow",
-        "design-target-subnormal", "sweep-log-kz-min-negative", "sweep-log-kz-max-zero"])
+        "design-target-subnormal", "sweep-log-kz-min-negative", "sweep-log-kz-max-zero",
+        "photon-dist-back-to-the-vacuum", "config-unreadable", "preset-unknown",
+        "sweep-no-grid", "fano-alpha-nan", "wigner-resolution-1"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
     # (exit 0), ran the length search to its iteration cap (exit 3) or

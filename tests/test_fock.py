@@ -128,6 +128,22 @@ def test_scenario_refuses_an_alpha_whose_square_overflows():
         KerrScenario(np.nextafter(largest, np.inf), 0.1)
 
 
+@pytest.mark.parametrize("amplitudes, n_trunc, message", [
+    ([1.0], 0, "n_trunc must be >= 1"),
+    ([1.0, 0.0], 2, "amplitudes must have length n_trunc"),
+    ([1.0, 1.0], 1, "state not normalized"),
+])
+def test_fock_state_refuses_a_malformed_expansion(amplitudes, n_trunc, message):
+    with pytest.raises(ValueError, match=message):
+        FockState(np.array(amplitudes, dtype=complex), n_trunc, 0.0)
+
+
+@pytest.mark.parametrize("kz", [np.nan, np.inf, -np.inf])
+def test_kerr_refuses_a_kz_that_is_not_finite(kz):
+    with pytest.raises(ValueError, match="kz must be finite"):
+        kerr_evolve(coherent_state(2.0), kz)
+
+
 def test_kerr_identity_at_zero():
     state = coherent_state(2.0)
     out = kerr_evolve(state, 0.0)

@@ -138,11 +138,11 @@ def test_scaling_law_bands(scaling_optima):
         assert 0.37 <= opt.fano_min * scale <= 0.46
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     # a bracket of width 0 is never reached: the search stops at MAX_ITER
+    monkeypatch.setattr(optimize_mod, "LENGTH_REL_TOL", 0.0)
     with pytest.raises(NonConvergence):
-        optimize_mod._slope_root(lambda kz: optimize_mod._length_slope(10.0, kz),
-                                 kz_opt_approx(10.0), rel_tol=0.0)
+        optimize_length(10.0)
 
 
 def _fano_min_mp(alpha: float, kz):
@@ -201,15 +201,16 @@ def test_length_optimum_matches_60_digit_root(alpha, rel_tol):
         assert abs(kz - root) <= rel_tol * root
 
 
-def test_slope_root_bisects_where_the_secant_overflows():
+def test_slope_root_bisects_where_the_secant_overflows(monkeypatch):
     # slopes of +-1e308 overflow the secant's denominator: each step bisects
-    root = optimize_mod._slope_root(lambda kz: math.copysign(1e308, kz - 1.01), 1.0, 1e-9)
+    monkeypatch.setattr(optimize_mod, "LENGTH_REL_TOL", 1e-9)
+    root = optimize_mod._slope_root(lambda kz: math.copysign(1e308, kz - 1.01), 1.0)
     assert root == pytest.approx(1.01, rel=1e-9)
 
 
 def test_slope_root_refuses_a_slope_that_keeps_its_sign():
     with pytest.raises(NonConvergence, match="keeps its sign"):
-        optimize_mod._slope_root(lambda kz: kz - 3.0, 1.0, 1e-6)
+        optimize_mod._slope_root(lambda kz: kz - 3.0, 1.0)
 
 
 def test_optimum_tie_break_prefers_small_shift():

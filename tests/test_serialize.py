@@ -1,6 +1,7 @@
 """Array and grid tables render byte for byte like the same values as lists
 of lists, in row blocks of any size, and writing holds one block at a time."""
 
+import csv
 import io
 import tracemalloc
 from unittest import mock
@@ -194,3 +195,18 @@ def test_arrays_of_the_wrong_rank_are_refused():
         _json_value(np.zeros((2, 2, 2)), 0)
     with pytest.raises(TypeError, match="1-d"):
         Artifact(META, ["a"], np.zeros(3))
+
+
+def test_csv_quotes_text_cells_that_hold_a_separator():
+    # a comma, a quote or a newline in a heading or a text cell is quoted as
+    # the csv module reads it
+    artifact = Artifact(META, ["a,b", 'say "x"'], [["one\ntwo", 1.5], ["plain", "c,d"]])
+    body = "".join(line for line in io.StringIO(artifact.render("csv"))
+                   if not line.startswith("#"))
+    assert list(csv.reader(io.StringIO(body))) == [
+        ["a,b", 'say "x"'], ["one\ntwo", "1.5"], ["plain", "c,d"]]
+
+
+def test_an_unknown_format_is_refused():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        Artifact(META, ["c"], [[1.0]]).render("xml")
