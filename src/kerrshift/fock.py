@@ -6,9 +6,9 @@ a pure function returning a fresh, normalized state. It needs only numpy and
 the standard library, and takes from the closed form only the record
 photon_statistics() returns, moments.PhotonStatistics.
 
-The weights of the coherent state and of its tail past the basis, of
-column 0 of the displacement and of poisson_probabilities() all come from
-one ratio product, _column_zero().
+The coherent state and its tail past the basis, column 0 of the
+displacement and poisson_probabilities() all scale one ratio product,
+_column_zero(): the amplitudes by its 2-norm, the probabilities by its 1-norm.
 
 The displacement D(delta) is applied without forming its matrix: the
 Cahill-Glauber three-term recurrence for the matrix elements (Phys. Rev. 177,
@@ -83,30 +83,29 @@ _SUPPORT_TOL = 1e-30
 class FockState:
     """Truncated photon-number expansion of a pure single-mode state.
 
-    amplitudes: c_n for n = 0..n_trunc (length n_trunc + 1), unit norm.
+    amplitudes: c_n for n = 0..n_trunc = len - 1 >= 1; 1-D, unit norm.
     tail_mass: probability mass lost to truncation at construction time
         (for displacements: the renormalization defect of the truncated unitary).
     """
 
     amplitudes: np.ndarray
-    n_trunc: int
     tail_mass: float
 
     def __post_init__(self):
-        if self.n_trunc < 1:
-            raise ValueError(f"n_trunc must be >= 1, got {self.n_trunc}")
-        if self.amplitudes.shape != (self.n_trunc + 1,):
-            raise ValueError("amplitudes must have length n_trunc + 1")
+        if self.amplitudes.ndim != 1 or len(self.amplitudes) < 2:
+            raise ValueError(f"amplitudes must be 1-D of length >= 2, got {self.amplitudes.shape}")
         norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |c_n|^2 = {norm_sq!r}")
         self.amplitudes.setflags(write=False)
 
+    @property
+    def n_trunc(self) -> int:
+        return len(self.amplitudes) - 1
+
 
 def _normalized(amplitudes: np.ndarray, tail_mass: float) -> FockState:
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    amplitudes = amplitudes / np.sqrt(np.sum(np.abs(amplitudes) ** 2))
-    return FockState(amplitudes, len(amplitudes) - 1, float(tail_mass))
+    return FockState(amplitudes / np.sqrt(np.sum(np.abs(amplitudes) ** 2)), float(tail_mass))
 
 
 def _levels(r: float) -> float:
@@ -120,10 +119,10 @@ def _levels(r: float) -> float:
 def coherent_state(alpha: complex) -> FockState:
     """Coherent state |alpha>, c_n = e^{-|a|^2/2} a^n / sqrt(n!).
 
-    The magnitudes, _column_zero() over |a| / sqrt(n + 1), are within 1e-14
-    relative of their exact values above 1e-15. The basis ends at
-    n_trunc = _levels(|a|). There the Poisson tail P(n > n_trunc) is at most
-    6.2e-24 for every |a| <= MAX_AMPLITUDE, largest at |a| = 200; it is
+    The magnitudes, _column_zero() over |a| / sqrt(n + 1) at unit 2-norm, are
+    within 1e-14 relative of their exact values above 1e-15. The basis ends
+    at n_trunc = _levels(|a|). There the Poisson tail P(n > n_trunc) is at
+    most 6.2e-24 for every |a| <= MAX_AMPLITUDE, largest at |a| = 200; it is
     reported as tail_mass, the sum of the squares of the same column run on
     to _levels(|a| + 2), past which the rest of the tail is below 1e-21 of it.
     """
@@ -132,7 +131,8 @@ def coherent_state(alpha: complex) -> FockState:
         raise AmplitudeTooLarge(
             f"|alpha| = {a} exceeds the Fock engine cap {MAX_AMPLITUDE}")
     n_trunc = int(_levels(a))
-    weights = np.ldexp(*_column_zero(a / np.sqrt(np.arange(1.0, int(_levels(a + 2.0)) + 1))))
+    ratios = a / np.sqrt(np.arange(1.0, int(_levels(a + 2.0)) + 1))
+    weights = np.ldexp(*_unit_column(*_column_zero(ratios)))
     phase = np.exp(1j * np.angle(alpha) * np.arange(n_trunc + 1))
     return _normalized(weights[:n_trunc + 1] * phase,
                        math.fsum((weights[n_trunc + 1:] ** 2).tolist()))
@@ -151,8 +151,7 @@ def kerr_evolve(state: FockState, kz: float) -> FockState:
         raise ValueError(f"kz = {kz!r}: the Kerr phase kz n^2 = {phase:g} at n = n_trunc = "
                          f"{state.n_trunc} is above MAX_FOCK_KERR_PHASE = 2^33")
     n = np.arange(state.n_trunc + 1, dtype=float)
-    return FockState(state.amplitudes * np.exp(1j * (kz * n * n)), state.n_trunc,
-                     state.tail_mass)
+    return FockState(state.amplitudes * np.exp(1j * (kz * n * n)), state.tail_mass)
 
 
 def _edge_band(delta_abs: float, n_max: int) -> int:
@@ -178,9 +177,10 @@ def _band(delta_abs: float, n_max: int, n_trunc: int) -> int:
     state under a large shift (the vacuum displaced by 6.5) the bound is
     loose and the classical edge of _edge_band() is tighter, so K is the
     smaller of the two; no input gets a wider band than the edge alone
-    gives. At the alpha = 60 optimum (|delta| = 2.12, n_trunc = 4220) the
-    bound gives K = 423 and the edge 714. A band too narrow would show as a
-    norm defect.
+    gives, and none narrower than 2, whose k = 1 diagonal carries the mean's
+    shift at any |delta|. At the alpha = 60 optimum (|delta| = 2.12,
+    n_trunc = 4220) the bound gives K = 423 and the edge 714. A band too
+    narrow would show as a norm defect.
     """
     def below_tol(k: int) -> bool:
         # log |delta| stays finite where x underflows to 0
@@ -188,8 +188,8 @@ def _band(delta_abs: float, n_max: int, n_trunc: int) -> int:
                      + k * math.log(delta_abs) - math.lgamma(k + 1.0))
         return log_bound < math.log(_BAND_TOL)
 
-    # bisect for the first k below _BAND_TOL, keeping B^lo >= _BAND_TOL
-    lo, hi = 0, _edge_band(delta_abs, n_max)
+    # bisect for the first k >= 2 below _BAND_TOL, keeping B^lo >= _BAND_TOL or lo = 1
+    lo, hi = 1, _edge_band(delta_abs, n_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if below_tol(mid) else (mid, hi)
@@ -197,14 +197,14 @@ def _band(delta_abs: float, n_max: int, n_trunc: int) -> int:
 
 
 def _column_zero(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w_0 = 1, w_{k+1} = w_k ratios[k], divided by the column's norm, as
-    mantissa times 2^exponent.
+    """w_0 = 1, w_{k+1} = w_k ratios[k], as mantissa in [0.5, 1) times
+    2^exponent; each caller scales it by the norm it needs.
 
     The product runs over the ratios' frexp mantissas, with their exponents
     summed apart. Each w_k then carries about sqrt(k) roundings, where
     exp(sum of log ratios) carried about 1e-16 times the size of that sum
-    (2e-11 at k = 4e4). Over |delta| / sqrt(k + 1) it is the coherent state
-    |delta>, column 0 of D(delta).
+    (2e-11 at k = 4e4). Over |delta| / sqrt(k + 1), at unit 2-norm, it is
+    the coherent state |delta>, column 0 of D(delta).
     """
     ratio, step = np.frexp(ratios)
     mant = np.ones(len(ratios) + 1)
@@ -218,7 +218,7 @@ def _column_zero(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mant[at:stop] = carry * np.cumprod(ratio[at - 1: stop - 1])
         expo[at:stop] += lift
     mant, shift = np.frexp(mant)
-    return _unit_column(mant, expo + shift)
+    return mant, expo + shift
 
 
 def _unit_column(mant: np.ndarray, expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +234,13 @@ def _unit_column(mant: np.ndarray, expo: np.ndarray) -> tuple[np.ndarray, np.nda
 def poisson_probabilities(mean: float, size: int) -> np.ndarray:
     """e^{-mean} mean^n / n! for n < size, size past the support (as
     _levels(sqrt(mean)) + 1 is): _column_zero() over the ratios
-    mean / (n + 1), divided by the fsum of its cells above 1e-32 (fsum over
-    the subnormal tail would take most of the time). Each p_n above 1e-30 is
-    within 5.0e-15 relative of its 40-digit value at 88 means below 5000,
-    and 1.1e-14 at 45 means from 5000 to 60 000.
+    mean / (n + 1), divided by the fsum of its cells above 1e-32 of the
+    largest (fsum over the subnormal tail would take most of the time).
+    Each p_n above 1e-30 is within 5.0e-15 relative of its 40-digit value
+    at 88 means below 5000, and 1.1e-14 at 45 means from 5000 to 60 000.
     """
-    weights = np.ldexp(*_column_zero(mean / np.arange(1.0, size)))
+    mant, expo = _column_zero(mean / np.arange(1.0, size))
+    weights = np.ldexp(mant, expo - expo.max())
     return weights / math.fsum(weights[weights > 1e-32].tolist())
 
 
@@ -358,7 +359,7 @@ def _seed(delta_abs: float, start: int, band: int):
 def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     """Yield (n0, T) with T[j, k] = T_{n0+j}^k, k < band, for
     n_s <= n0 + j < n_cols, where the start column n_s is `start`, or 0
-    when start < x = |delta|^2.
+    when start < x = |delta|^2 or band < 3.
 
     T_n^k = sqrt(n!/(n+k)!) x^{k/2} e^{-x/2} L_n^k(x) is the
     magnitude of <n+k|D(delta)|n>, bounded by 1. With p = n + 1 and
@@ -382,14 +383,15 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     |delta| = 0.0186 that drifted the columns by 1.8e-13 over 5000 columns,
     where this form stays within 2e-15 of the exact values.
 
-    From n_s = 0 it starts at T_0^k of _column_zero(), with d_0 = T_0. From
-    n_s > 0 it starts at T_{n_s} and d_{n_s} of _seed(), which costs
-    O(band + 2 |delta| sqrt(n_s)) scalar steps in place of n_s x band vector
-    ones. n_s >= x puts the column's lower turning point below 0, so the
-    seed's run reaches the t^{-1} that d_{n_s} reads; below it the run
-    starts at column 0. For |delta| in [1e-3, 40] and n_s up to x + 8000 the
-    seeded columns agree with those run from column 0 to 6.8e-15 (worst of
-    150 random cases).
+    From n_s = 0 it starts at T_0^k, _column_zero() at unit 2-norm, with
+    d_0 = T_0. From n_s > 0 it starts at T_{n_s} and d_{n_s} of _seed(),
+    which costs O(band + 2 |delta| sqrt(n_s)) scalar steps in place of
+    n_s x band vector ones. n_s >= x puts the column's lower turning point
+    below 0, so the seed's run reaches the t^{-1} that d_{n_s} reads; below
+    it the run starts at column 0, as it does on a band of 2, whose tiny
+    |delta| could overflow a seed step (about 1/(|delta| sqrt n_s)). For
+    |delta| in [1e-3, 40] and n_s up to x + 8000 the seeded columns agree
+    with those run from column 0 to 6.8e-15 (worst of 150 random cases).
 
     Each diagonal is held as mantissa times 2^exponent: the start sets both,
     and after a block any diagonal whose mantissa has passed _RESCALE is
@@ -406,14 +408,14 @@ def _columns(delta_abs: float, n_cols: int, band: int, start: int = 0):
     over (_BLOCK x band) arrays.
     """
     x = delta_abs * delta_abs
-    if start < 1 or start < x:
+    if start < x or band < 3:
         start = 0
     # rows n of the windows reach the last block's n0 + _BLOCK
     tables = _tables(start + -(-(n_cols - start) // _BLOCK) * _BLOCK + band, band)
     # mantissas of T_{n0} .. T_{n0+_BLOCK}, and of d_{n0}
     rows = np.zeros((_BLOCK + 1, band))
     if start == 0:
-        rows[0], expo = _column_zero(delta_abs / np.sqrt(np.arange(1.0, band)))
+        rows[0], expo = _unit_column(*_column_zero(delta_abs / np.sqrt(np.arange(1.0, band))))
         diff = rows[0].copy()
     else:
         rows[0], diff, expo = _seed(delta_abs, start, band)
@@ -445,8 +447,6 @@ def displacement_matrix(delta: complex, n_max: int) -> np.ndarray:
     u = delta/|delta|, <n+k|D|n> = u^k T_n^k and <n|D|n+k> = (-u*)^k T_n^k.
     """
     size = n_max + 1
-    if delta == 0:
-        return np.eye(size, dtype=complex)
     real = np.zeros((size, size))
     signs = (-1.0) ** np.arange(size)
     for n0, block in _columns(abs(delta), size, size):
@@ -548,11 +548,8 @@ def field_moment(state: FockState, k: int, l: int) -> complex:
     if k + l > 4:
         raise OrderTooHigh(f"k + l = {k + l} exceeds the supported order 4")
     c = state.amplitudes
-    n_top = state.n_trunc
     d = k - l
-    n = np.arange(l, n_top - max(d, 0) + 1)
-    if len(n) == 0:
-        return 0j
+    n = np.arange(l, state.n_trunc - max(d, 0) + 1)
     # sqrt((n-l+k)!/(n-l)!) * sqrt(n!/(n-l)!): short falling products, exact in doubles
     factor = np.ones_like(n, dtype=float)
     for j in range(1, k + 1):

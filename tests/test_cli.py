@@ -741,6 +741,8 @@ INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
      "kz-max: must be positive with --kz-log, got 0.0"),
     (["photon-dist", "1", "0", "-1"], None,
      "is at or below DENOM_FLOOR |alpha|^2 = 1e-15 at beta = (-1+0j)"),
+    (["photon-dist", "1e-100", "0", "-1"], None,
+     "is at or below DENOM_FLOOR |alpha|^2 = 1e-215 at beta = (-1+0j)"),
     (["fano", "--config", "missing/config.txt"], None,
      "config: [Errno 2] No such file or directory: 'missing/config.txt'"),
     (["design", "0.1", "1e8", "--preset", "no-such-preset"], None,
@@ -770,7 +772,8 @@ INLINE_WAVEGUIDE = ["--sigma-eff", "0.3e-12", "--wavelength", "1.55e-6"]
         "wigner-phase-overflow", "photon-dist-shift-1e308", "wigner-shift-1e308",
         "photon-dist-shift-complex-1e308", "design-target-underflow",
         "design-target-subnormal", "sweep-log-kz-min-negative", "sweep-log-kz-max-zero",
-        "photon-dist-back-to-the-vacuum", "config-unreadable", "preset-unknown",
+        "photon-dist-back-to-the-vacuum", "photon-dist-back-to-the-vacuum-1e-100",
+        "config-unreadable", "preset-unknown",
         "sweep-no-grid", "fano-alpha-nan", "wigner-resolution-1"])
 def test_bad_input_exits_2_naming_it(argv, text, message, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), wrote nan or inf
@@ -817,6 +820,10 @@ def test_removed_inputs_are_refused_by_name(argv, text, message, tmp_path, capsy
 @pytest.mark.parametrize("argv", [
     ["(2.2250738585e-313,0.0)", "0.0", "(1e+300,0.0)"],
     ["(0.0,5e-324)", "1.087", "(0.0,1.7976931348623157e+308)"],
+    # shifts of 1e-160, 1e-162 and 1e-50, whose k = 1 diagonal is below _BAND_TOL
+    ["1e-160", "0.1", "1"],
+    ["1e-162", "0.1", "1"],
+    ["1e-200", "0.1", "1e150"],
 ])
 def test_fano_matches_photon_dist_past_the_double_range(argv, tmp_path):
     # |alpha|^2 underflows and |beta|^2 overflows, while the shift |beta|

@@ -188,9 +188,10 @@ def _check_identities(argv, artifact):
             (single,) = _rows(_succeeds(["optimize", argv[1], "--kz", repr(row["kz"])]))
             assert single == row
     elif command == "photon-dist":
-        # the Fock engine's F is the closed form's
+        # the Fock engine's F and mean are the closed form's
         (fano,) = _rows(_succeeds(["fano", *argv[1:4]]))
         assert math.isclose(artifact["meta"]["fano"], fano["fano"], rel_tol=1e-8), argv
+        assert math.isclose(artifact["meta"]["mean"], fano["mean_photon"], rel_tol=1e-8), argv
 
 
 @given(argv=ARGV)
@@ -222,6 +223,15 @@ def _check_identities(argv, artifact):
 # D(-alpha)|alpha> is the vacuum: photon-dist wrote its rounding residue as
 # a mean of 8.4e-32 with F = 3.31, where fano refuses by DENOM_FLOOR
 @example(argv=["photon-dist", "1", "0", "-1"])
+# a displacement band of one diagonal left tiny shifts out: photon-dist gave
+# the undisplaced mean (1e-320 for fano's 4e-320), refused a mean that fano
+# computes, and let the vacuum at |alpha| = 1e-100 through
+@example(argv=["photon-dist", "1e-160", "0.1", "1"])
+@example(argv=["photon-dist", "1e-162", "0.1", "1"])
+@example(argv=["photon-dist", "1e-200", "0.1", "1e150"])
+@example(argv=["photon-dist", "1e-100", "0", "-1"])
+# a band of two diagonals seeded by _seed overflowed at the smallest shift
+@example(argv=["wigner", "9", "0", "--beta", "5e-324"])
 def test_cli_contract(argv):
     code, err, caught, artifact = _run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)

@@ -128,14 +128,14 @@ def test_scenario_refuses_an_alpha_whose_square_overflows():
         KerrScenario(np.nextafter(largest, np.inf), 0.1)
 
 
-@pytest.mark.parametrize("amplitudes, n_trunc, message", [
-    ([1.0], 0, "n_trunc must be >= 1"),
-    ([1.0, 0.0], 2, "amplitudes must have length n_trunc"),
-    ([1.0, 1.0], 1, "state not normalized"),
-])
-def test_fock_state_refuses_a_malformed_expansion(amplitudes, n_trunc, message):
+@pytest.mark.parametrize("amplitudes, message", [
+    ([1.0], r"amplitudes must be 1-D of length >= 2, got \(1,\)"),
+    ([[1.0, 0.0], [0.0, 0.0]], r"amplitudes must be 1-D of length >= 2, got \(2, 2\)"),
+    ([1.0, 1.0], "state not normalized"),
+], ids=["one-level", "two-dimensional", "not-normalized"])
+def test_fock_state_refuses_a_malformed_expansion(amplitudes, message):
     with pytest.raises(ValueError, match=message):
-        FockState(np.array(amplitudes, dtype=complex), n_trunc, 0.0)
+        FockState(np.array(amplitudes, dtype=complex), 0.0)
 
 
 @pytest.mark.parametrize("kz", [np.nan, np.inf, -np.inf])
@@ -196,7 +196,7 @@ def test_displace_reaches_diagonals_past_450():
     n_trunc, delta = 10_000, 2.5 * np.exp(0.7j)
     amps = np.zeros(n_trunc + 1, dtype=complex)
     amps[n_trunc] = 1.0
-    out = displace(FockState(amps, n_trunc, 0.0), delta)
+    out = displace(FockState(amps, 0.0), delta)
     ref = _expm_ket(amps, delta, out.n_trunc + 1)
     assert float(np.sum(np.abs(ref[n_trunc + 450:]) ** 2)) > 1e-3
     assert out.tail_mass <= 1e-10
@@ -400,6 +400,8 @@ def test_alpha_200_length_optimum_displaces():
 @example(abs_alpha=200.0, phase=0.0, kz_scale=1.0, beta_scale=1.0, beta_turn=0.0)
 @example(abs_alpha=200.0, phase=0.0, kz_scale=3.0, beta_scale=5.0, beta_turn=0.0)
 @example(abs_alpha=9.0, phase=0.0, kz_scale=1.0, beta_scale=1e-32, beta_turn=0.0)
+# a band of two diagonals, where a seeded start overflows (F = nan)
+@example(abs_alpha=9.0, phase=0.0, kz_scale=1.0, beta_scale=8.06e-258, beta_turn=0.0)
 def test_fock_fano_matches_closed_form(abs_alpha, phase, kz_scale, beta_scale, beta_turn):
     # F of the displaced Fock state against the closed form, with beta up to
     # five times the optimal shift in any direction
@@ -439,7 +441,7 @@ def test_displace_raises_when_basis_cannot_hold_the_state():
     amps = np.zeros(n_trunc + 1, dtype=complex)
     amps[0] = np.sqrt(1.0 - 1e-3)
     amps[n_trunc] = np.sqrt(1e-3)
-    state = FockState(amps, n_trunc, 0.0)
+    state = FockState(amps, 0.0)
     with pytest.raises(TruncationUnachievable, match="norm defect"):
         displace(state, 3.0)
 
@@ -457,10 +459,19 @@ def test_field_moment_coherent():
     assert field_moment(state, 1, 0) == pytest.approx(np.conj(alpha), rel=1e-12)
 
 
+def test_field_moment_of_an_empty_range_is_zero():
+    # a^2 lowers the top level n_trunc = 1 past the basis: no term survives
+    state = FockState(np.array([1.0, 0.0], dtype=complex), 0.0)
+    assert state.n_trunc == 1
+    assert field_moment(state, 0, 2) == 0j
+
+
 def test_field_moment_order_cap():
     state = coherent_state(1.0)
     with pytest.raises(OrderTooHigh):
         field_moment(state, 3, 2)
+    with pytest.raises(ValueError, match="moment orders must be non-negative"):
+        field_moment(state, -1, 1)
 
 
 def _kerr_moment_oracles(alpha, kz):

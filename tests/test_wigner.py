@@ -82,8 +82,7 @@ def test_rotation_invariance_of_kerr_state():
     state = kerr_evolve(coherent_state(3.0), 0.1)
     theta = -np.angle(field_moment(state, 0, 1))
     n = np.arange(state.n_trunc + 1)
-    rotated = FockState(state.amplitudes * np.exp(1j * n * theta),
-                        state.n_trunc, state.tail_mass)
+    rotated = FockState(state.amplitudes * np.exp(1j * n * theta), state.tail_mass)
     rng = np.random.default_rng(7)
     pts = rng.normal(0, 2, 40) + 1j * rng.normal(0, 2, 40) + 3.0
     assert np.allclose(wigner_at(rotated, pts),
@@ -141,7 +140,7 @@ def parity_wigner(state, w):
 def test_fock_state_wigner_closed_form(n):
     amplitudes = np.zeros(max(n, 1) + 1, dtype=complex)
     amplitudes[n] = 1.0
-    state = FockState(amplitudes, max(n, 1), 0.0)
+    state = FockState(amplitudes, 0.0)
     rng = np.random.default_rng(n)
     points = np.concatenate([[0j, 0.3 + 0.1j],
                              rng.normal(0, 2, 12) + 1j * rng.normal(0, 2, 12)])
@@ -279,7 +278,7 @@ def test_wide_window_does_not_alias():
 def test_random_kets_match_the_parity_formula(n_trunc, seed):
     rng = np.random.default_rng(seed)
     amplitudes = rng.normal(size=n_trunc + 1) + 1j * rng.normal(size=n_trunc + 1)
-    state = FockState(amplitudes / np.linalg.norm(amplitudes), n_trunc, 0.0)
+    state = FockState(amplitudes / np.linalg.norm(amplitudes), 0.0)
     points = rng.normal(0, 2.5, 3) + 1j * rng.normal(0, 2.5, 3)
     expected = [parity_wigner(state, w) for w in points]
     assert np.allclose(wigner_at(state, points), expected, rtol=0, atol=1e-12)
