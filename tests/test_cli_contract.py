@@ -230,7 +230,8 @@ def _check_identities(argv, artifact):
 @example(argv=["photon-dist", "1e-162", "0.1", "1"])
 @example(argv=["photon-dist", "1e-200", "0.1", "1e150"])
 @example(argv=["photon-dist", "1e-100", "0", "-1"])
-# a band of two diagonals seeded by _seed overflowed at the smallest shift
+# two diagonals seeded by _seed overflow at the smallest shift, so they run
+# from column 0
 @example(argv=["wigner", "9", "0", "--beta", "5e-324"])
 def test_cli_contract(argv):
     code, err, caught, artifact = _run(argv)
